@@ -38,7 +38,15 @@ from .analysis import (
 from .errors import MeandricError, WeakShapeError
 from .meanders import enumerate_shapes, format_shape, parse_shape
 from .oracle import moment_report
-from .sampling import ExperimentConfig, evaluate_gates, run_experiment, samples_array, samples_csv
+from .sampling import (
+    ExperimentConfig,
+    SampleSummary,
+    evaluate_gates,
+    run_experiment,
+    samples_array,
+    samples_csv,
+    summarize_samples,
+)
 from . import verify as verify_mod
 
 EXIT_OK = 0
@@ -200,16 +208,22 @@ def _moments_payload(params: dict) -> dict:
     return payload
 
 
-def _sample_payload(params: dict, worker_count: int) -> tuple[dict, bool]:
+def _sample_config(params: dict, worker_count: int) -> ExperimentConfig:
+    shape = parse_shape(params["shape"])
+    try:
+        return ExperimentConfig(
+            n=params["n"],
+            sample_count=params["samples"],
+            shape=shape,
+            seed=params["seed"],
+            worker_count=worker_count,
+        )
+    except ValueError as exc:  # seed, sample count or worker count out of range
+        raise UsageError(str(exc)) from None
+
+
+def _sample_payload(params: dict, summary: SampleSummary) -> tuple[dict, bool]:
     """Summary payload plus the gate verdict (True when no gate fails)."""
-    cfg = ExperimentConfig(
-        n=params["n"],
-        sample_count=params["samples"],
-        shape=parse_shape(params["shape"]),
-        seed=params["seed"],
-        worker_count=worker_count,
-    )
-    summary = run_experiment(cfg)
     payload = summary.to_json_dict()
     ok = True
     if params.get("gate", "none") != "none":
@@ -223,7 +237,9 @@ _REPLAYERS = {
     "shapes": lambda params: _shapes_payload(params),
     "constants": lambda params: _constants_payload(params),
     "moments": lambda params: _moments_payload(params),
-    "sample": lambda params: _sample_payload(params, worker_count=1)[0],
+    "sample": lambda params: _sample_payload(
+        params, run_experiment(_sample_config(params, worker_count=1))
+    )[0],
 }
 
 
@@ -281,12 +297,11 @@ def _cmd_sample(args, config) -> int:
         "seed": seed,
         "gate": args.gate,
     }
-    payload, gates_ok = _sample_payload(params, worker_count=workers)
+    cfg = _sample_config(params, worker_count=workers)
+    xs = samples_array(cfg)
+    payload, gates_ok = _sample_payload(params, summarize_samples(cfg, xs))
     if args.csv:
-        text = samples_csv(samples_array(ExperimentConfig(
-            n=args.n, sample_count=args.samples, shape=parse_shape(args.shape),
-            seed=seed, worker_count=workers,
-        )))
+        text = samples_csv(xs)
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(text)
         params["csvSha256"] = hashlib.sha256(text.encode()).hexdigest()

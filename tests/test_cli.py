@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from meandric.cli import EXIT_GATE, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from meandric.verify import WEAK_L5
 
@@ -217,6 +219,24 @@ def test_sample_shape_too_large(capsys):
     )
     assert code == EXIT_INVARIANT
     assert "cannot fit" in err
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--seed", "-1", "seed -1 outside [0, 2**64)"),
+        ("--seed", str(2**64), f"seed {2**64} outside [0, 2**64)"),
+        ("--samples", "0", "sample_count must be >= 1"),
+        ("--workers", "0", "worker_count must be >= 1"),
+    ],
+)
+def test_sample_out_of_range_is_usage_error(capsys, flag, value, message):
+    args = {"--n": "5", "--samples": "3", "--shape": LOOP, "--seed": "0", "--workers": "1"}
+    args[flag] = value
+    code, out, err = run_cli(capsys, "sample", *(item for pair in args.items() for item in pair))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"usage error: {message}\n"
 
 
 def test_config_file_and_env_workers(capsys, tmp_path, monkeypatch):

@@ -1,11 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import chi2
 
-from meandric.combinatorics import catalan
+from meandric.combinatorics import NonCrossingMatching, catalan
 from meandric.errors import MeandricError
-from meandric.meanders import count_shape, simple_loop
+from meandric.meanders import MeandricSystem, count_shape, parse_shape, simple_loop
 from meandric.sampling import (
     LOWER_STREAM,
     UPPER_STREAM,
@@ -21,6 +25,8 @@ from meandric.sampling import (
     samples_array,
     samples_csv,
 )
+from meandric.sampling import _count_rows, _experiment_chunk, _partner_rows, _stack_pairing
+from meandric.verify import WEAK_L5
 
 
 def test_size_one_is_deterministic():
@@ -82,12 +88,33 @@ def test_chi_square_uniformity_edge():
     assert stat == 0 and p == 1.0
 
 
+def test_chi_square_p_value_is_chi2_survival():
+    for n, draws in [(2, 4000), (3, 20000), (4, 50000)]:
+        report = matching_uniformity(n, draws, seed=1)
+        assert report.p_value == chi2.sf(report.statistic, catalan(n) - 1)
+    rng = np.random.default_rng(3)
+    for counts in rng.integers(50, 150, size=(200, 7)):
+        stat, p = chi_square_uniformity(counts)
+        assert p == chi2.sf(stat, 6)
+
+
 def test_anderson_darling_discriminates():
     rng = np.random.default_rng(0)
     normal = rng.standard_normal(4000)
     assert anderson_darling_statistic(normal) < 1.035
     exponential = rng.exponential(size=4000)
     assert anderson_darling_statistic(exponential) > 10
+
+
+def test_seeds_outside_64_bits_rejected(loop1):
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            ExperimentConfig(n=4, sample_count=10, shape=loop1, seed=seed)
+        with pytest.raises(ValueError):
+            sample_matching(4, 0, seed)
+        with pytest.raises(ValueError):
+            matching_uniformity(2, 10, seed)
+    assert sample_matching(6, 3, 2**64 - 1) != sample_matching(6, 3, 0)
 
 
 def test_experiment_config_validation(weak_l5):
@@ -184,3 +211,95 @@ def test_clt_report_drift(loop1):
     header = csv_text.splitlines()[0].split(",")
     assert header[:3] == ["n", "samples", "standardizedMean"]
     assert len(csv_text.splitlines()) == 4
+
+
+# ---------------------------------------------------------------------------
+# The block kernel against the stream's definition and against tracing
+# ---------------------------------------------------------------------------
+
+
+def reference_partner(n, seed, stream, position):
+    """The stream drawn one matching at a time, as it is defined: a new
+    generator for the position's key, the walk rotated to start after its
+    first minimum, and arcs paired with a stack."""
+    key = (seed << 64) | (stream << 60) | position
+    perm = np.random.Generator(np.random.Philox(key=key)).permutation(2 * n + 1)
+    walk = [1 if v < n else -1 for v in perm]
+    heights = list(itertools.accumulate(walk))
+    pivot = heights.index(min(heights))
+    steps = (walk[pivot + 1 :] + walk[: pivot + 1])[: 2 * n]
+    partner, stack = [0] * (2 * n), []
+    for i, step in enumerate(steps):
+        if step == 1:
+            stack.append(i)
+        else:
+            j = stack.pop()
+            partner[i], partner[j] = j, i
+    return partner
+
+
+STREAMS = [UPPER_STREAM, LOWER_STREAM]
+seeds = st.integers(0, 2**64 - 1)
+positions = st.integers(0, 2**60 - 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 60), seeds, positions, st.sampled_from(STREAMS), st.integers(1, 6))
+def test_kernel_rows_are_the_stream(n, seed, position, stream, rows):
+    partners = _partner_rows(n, seed, stream, position, position + rows)
+    assert partners.shape == (rows, 2 * n)
+    for k, row in enumerate(partners):
+        NonCrossingMatching((0, *(row + 1).tolist()))  # raises unless non-crossing
+        assert row.tolist() == reference_partner(n, seed, stream, position + k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 60), seeds, positions)
+def test_kernel_counts_match_tracing(n, seed, position):
+    counts = _experiment_chunk((n, simple_loop(), seed, position, position + 4))
+    for k, x in enumerate(counts):
+        assert x == count_shape(sample_system(n, position + k, seed), simple_loop())
+
+
+@pytest.mark.parametrize("n", [16383, 16384])  # the widest 16-bit keys, the narrowest 32-bit
+def test_stack_pairing_extreme_walks(n):
+    # All up-steps first, or all down-steps first: the walk reaches height
+    # n or -(n + 1), the extremes of the key range, and both pair as a rainbow.
+    rainbow = np.arange(2 * n)[::-1]
+    for up in ([True] * n + [False] * (n + 1), [False] * (n + 1) + [True] * n):
+        assert np.array_equal(_stack_pairing(np.array([up]))[0], rainbow)
+
+
+# Two copies of the weak example at offsets 1 and 7, completed at n=8.
+WEAK_PAIR_UP = [(1, 6), (2, 5), (3, 4), (9, 10), (7, 12), (8, 11), (13, 14), (15, 16)]
+WEAK_PAIR_LO = [(1, 2), (5, 10), (6, 9), (7, 8), (3, 4), (11, 16), (12, 15), (13, 14)]
+
+
+def _with_weak_pair(left, right, arcs):
+    """0-based partners of ``left``, then the planted block, then ``right``."""
+    block = np.empty(16, dtype=np.int64)
+    for a, b in arcs:
+        block[a - 1], block[b - 1] = b - 1, a - 1
+    offset = left.size
+    return np.concatenate([left, block + offset, right + offset + 16])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 30), st.integers(0, 30), seeds, positions)
+def test_kernel_counts_weak_shape_match_tracing(n_left, n_right, seed, position):
+    weak = parse_shape(WEAK_L5)
+
+    def planted(stream, arcs):
+        left, right = (
+            _partner_rows(n, seed, stream, at, at + 1)[0] if n else np.empty(0, dtype=np.int64)
+            for n, at in ((n_left, position), (n_right, position + 1))
+        )
+        return _with_weak_pair(left, right, arcs)
+
+    up, lo = planted(UPPER_STREAM, WEAK_PAIR_UP), planted(LOWER_STREAM, WEAK_PAIR_LO)
+    system = MeandricSystem(
+        NonCrossingMatching((0, *(up + 1).tolist())), NonCrossingMatching((0, *(lo + 1).tolist()))
+    )
+    count = _count_rows(up[None, :], lo[None, :], weak)[0]
+    assert count == count_shape(system, weak)
+    assert count >= 2
