@@ -22,7 +22,6 @@ from meandric import (
     format_shape,
     parse_shape,
     simple_loop,
-    trace_loop,
 )
 
 print("=== Dyck words and matchings ===")
@@ -37,7 +36,7 @@ system = MeandricSystem(
     NonCrossingMatching.from_text("1-2,3-4"),
     NonCrossingMatching.from_text("1-4,2-3"),
 )
-loop = trace_loop(system, 1)
+loop = components(system)[0]  # loops are listed by leftmost vertex
 print("upper 1-2,3-4 over lower 1-4,2-3 gives one loop with support", loop.support)
 print("its shape:", format_shape(component_shape(loop, system)))
 

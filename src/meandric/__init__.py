@@ -15,13 +15,11 @@ from .combinatorics import (
     NonCrossingMatching,
     catalan,
     choose,
-    disjoint_interval_count,
     dyck_to_matching,
     enumerate_dyck_words,
     enumerate_matchings,
     falling_factorial,
     log_catalan,
-    log_falling_factorial,
     matching_to_dyck,
 )
 from .errors import (
@@ -37,15 +35,14 @@ from .meanders import (
     Component,
     MeandricSystem,
     Shape,
+    arcs_at,
     component_shape,
     components,
     count_shape,
     enumerate_shapes,
     format_shape,
-    has_shape_at,
     parse_shape,
     simple_loop,
-    trace_loop,
 )
 from .analysis import (
     CltParameters,
@@ -62,7 +59,6 @@ from .analysis import (
     factorial_moment_strong,
     log_factorial_moment_asymptotic,
     log_factorial_moment_strong,
-    overlap_correction,
     overlap_scan,
     pair_placement,
     shape_constants,
@@ -86,7 +82,6 @@ from .sampling import (
     UniformityReport,
     anderson_darling_statistic,
     chi_square_uniformity,
-    clt_report,
     evaluate_gates,
     matching_uniformity,
     run_experiment,

@@ -32,7 +32,7 @@ from functools import lru_cache
 from numbers import Rational
 from typing import Sequence, Union
 
-from .combinatorics import catalan, choose, falling_factorial, log_catalan
+from .combinatorics import catalan, choose, log_catalan
 from .errors import InvalidShapeError, WeakShapeError
 from .meanders import Shape, arcs_noncrossing, format_shape
 
@@ -47,7 +47,6 @@ __all__ = [
     "pair_placement",
     "overlap_scan",
     "shape_constants",
-    "overlap_correction",
     "disjoint_moment_term",
     "factorial_moment_strong",
     "log_factorial_moment_strong",
@@ -242,25 +241,18 @@ def overlap_scan(shape: Shape) -> tuple[OverlapInfo, ...]:
     ell = shape.half_length
     single = face_decomposition(shape)
     weight = _face_weight(single)
+    open_pairs = single.open_upper // 2 + single.open_lower // 2
     out = []
     for offset in range(2, 2 * ell + 1):
         decomp = pair_placement(shape, offset)
         if decomp is None:
             continue
         base_size = 2 * ell + offset - 1
-        pair_weight = 1
-        for count in decomp.bounded_counts():
-            pair_weight *= catalan(count // 2)
-        correction = _overlap_correction(
-            half_length=ell,
-            face_weight=weight,
-            open_upper=single.open_upper // 2,
-            open_lower=single.open_lower // 2,
-            base_size=base_size,
-            pair_weight=pair_weight,
-            pair_open_upper=decomp.open_upper,
-            pair_open_lower=decomp.open_lower,
-        )
+        pair_weight = _face_weight(decomp)
+        # The correction is a dyadic multiple of K_pair / K**2.  The exponent
+        # of 4 in its definition is a half-integer for even offsets, so it
+        # is carried as an exponent of 2, which is always exact.
+        two_log = 8 * ell - 2 * base_size + decomp.open_upper + decomp.open_lower - 4 * open_pairs
         out.append(
             OverlapInfo(
                 offset=offset,
@@ -268,40 +260,10 @@ def overlap_scan(shape: Shape) -> tuple[OverlapInfo, ...]:
                 face_weight=pair_weight,
                 open_free_upper=decomp.open_upper,
                 open_free_lower=decomp.open_lower,
-                correction=correction,
+                correction=Fraction(pair_weight, weight * weight) * Fraction(2) ** two_log,
             )
         )
     return tuple(out)
-
-
-def _overlap_correction(
-    half_length: int,
-    face_weight: int,
-    open_upper: int,
-    open_lower: int,
-    base_size: int,
-    pair_weight: int,
-    pair_open_upper: int,
-    pair_open_lower: int,
-) -> Fraction:
-    """Exact overlap correction as a dyadic multiple of K_pair / K**2.
-
-    The exponent of 4 in the definition can be a half-integer (odd
-    offsets keep it integral, even offsets do not), so it is carried as
-    an integer exponent of 2, which is always exact.
-    """
-    two_log = (
-        8 * half_length
-        - 2 * base_size
-        + pair_open_upper
-        + pair_open_lower
-        - 4 * open_upper
-        - 4 * open_lower
-    )
-    value = Fraction(pair_weight, face_weight * face_weight)
-    if two_log >= 0:
-        return value * (1 << two_log)
-    return value / (1 << -two_log)
 
 
 @lru_cache(maxsize=None)
@@ -323,21 +285,6 @@ def shape_constants(shape: Shape) -> ShapeConstants:
     assert constants.open_pairs_upper + constants.open_pairs_lower <= ell - 1
     assert weight * (4 * ell - 1) < 4 ** constants.denominator_power
     return constants
-
-
-def overlap_correction(shape: Shape, info: OverlapInfo) -> Fraction:
-    """Exact variance correction of one feasible overlap offset."""
-    constants = shape_constants(shape)
-    return _overlap_correction(
-        half_length=constants.half_length,
-        face_weight=constants.face_weight,
-        open_upper=constants.open_pairs_upper,
-        open_lower=constants.open_pairs_lower,
-        base_size=info.base_size,
-        pair_weight=info.face_weight,
-        pair_open_upper=info.open_free_upper,
-        pair_open_lower=info.open_free_lower,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -406,16 +353,7 @@ def factorial_moment_strong(n: int, r: int, shape: Shape) -> Fraction:
             "factorial_moment_strong needs a strong shape; copies of this shape "
             f"can overlap at offsets {[o.offset for o in c.overlaps]}"
         )
-    if r == 0:
-        return Fraction(1)
-    ell = c.half_length
-    slots = 2 * n - 2 * r * ell + r
-    i_up = n - r * ell + r * c.open_pairs_upper
-    i_lo = n - r * ell + r * c.open_pairs_lower
-    if slots < r or i_up < 0 or i_lo < 0:
-        return Fraction(0)
-    num = falling_factorial(slots, r) * c.face_weight**r * catalan(i_up) * catalan(i_lo)
-    return Fraction(num, catalan(n) ** 2)
+    return math.factorial(r) * disjoint_moment_term(n, r, shape)
 
 
 def log_factorial_moment_strong(n: int, r: int, shape: Shape) -> float:
@@ -509,26 +447,15 @@ class HypothesisReport:
     relative to ``mu_n``, and ``mu_n`` to be small relative to
     ``sigma_n**3``.  For the families arising here (``mu_n`` of order n,
     ``s_n`` of order 1/n) the last two hold exactly when
-    ``1 + mu_n * s_n`` is a positive constant, so all three flags reduce
-    to that product test; they are reported separately to mirror the
-    hypotheses.
+    ``1 + mu_n * s_n`` is a positive constant, so all three reduce to that
+    product test, whose outcome is ``all_pass``.
     """
 
     mu: float
     s: float
     product: float
     sigma: float
-    product_above_minus_one: bool
-    sigma_small_vs_mu: bool
-    mu_small_vs_sigma_cubed: bool
-
-    @property
-    def all_pass(self) -> bool:
-        return (
-            self.product_above_minus_one
-            and self.sigma_small_vs_mu
-            and self.mu_small_vs_sigma_cubed
-        )
+    all_pass: bool
 
 
 def clt_hypothesis_check(mu_n: Union[float, Rational], s_n: Union[float, Rational]) -> HypothesisReport:
@@ -539,17 +466,10 @@ def clt_hypothesis_check(mu_n: Union[float, Rational], s_n: Union[float, Rationa
     if mu_n <= 0:
         raise ValueError(f"mu_n must be positive, got {mu_n}")
     product = mu_n * s_n
-    ok = product > -1
     var = mu_n * (1 + product)
     sigma = math.sqrt(float(var)) if var >= 0 else float("nan")
     return HypothesisReport(
-        mu=float(mu_n),
-        s=float(s_n),
-        product=float(product),
-        sigma=sigma,
-        product_above_minus_one=ok,
-        sigma_small_vs_mu=ok,
-        mu_small_vs_sigma_cubed=ok,
+        mu=float(mu_n), s=float(s_n), product=float(product), sigma=sigma, all_pass=product > -1
     )
 
 

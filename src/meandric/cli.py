@@ -165,7 +165,9 @@ def _constants_payload(params: dict) -> dict:
     return constants_report(parse_shape(params["shape"]))
 
 
-def _moments_payload(params: dict) -> dict:
+def _moments_payload(params: dict) -> tuple[dict, dict[int, int] | None]:
+    """Moments payload plus the exact count distribution, when the exact
+    mode computed one."""
     shape = parse_shape(params["shape"])
     n, r = params["n"], params["r"]
     modes = params["mode"].split(",")
@@ -175,8 +177,10 @@ def _moments_payload(params: dict) -> dict:
     constants = shape_constants(shape)
     payload: dict = {"n": n, "r": r, "shape": format_shape(shape), "strong": constants.is_strong}
     values: dict[str, float] = {}
+    distribution = None
     if "exact" in modes:
         report = moment_report(n, r, shape, size_cap=params.get("sizeCap", 8))
+        distribution = report.distribution
         payload["exactMoment"] = fraction_json(report.exact_moment)
         payload["lowerBoundRFr"] = fraction_json(report.lower_bound)
         values["exact"] = float(report.exact_moment)
@@ -205,7 +209,7 @@ def _moments_payload(params: dict) -> dict:
                 deltas[f"log{name.capitalize()}MinusAsymptotic"] = (
                     math.log(values[name]) - payload["asymptoticLogMoment"]
                 )
-    return payload
+    return payload, distribution
 
 
 def _sample_config(params: dict, worker_count: int) -> ExperimentConfig:
@@ -236,7 +240,7 @@ def _sample_payload(params: dict, summary: SampleSummary) -> tuple[dict, bool]:
 _REPLAYERS = {
     "shapes": lambda params: _shapes_payload(params),
     "constants": lambda params: _constants_payload(params),
-    "moments": lambda params: _moments_payload(params),
+    "moments": lambda params: _moments_payload(params)[0],
     "sample": lambda params: _sample_payload(
         params, run_experiment(_sample_config(params, worker_count=1))
     )[0],
@@ -273,13 +277,14 @@ def _cmd_moments(args, config) -> int:
         "mode": args.mode,
         "sizeCap": args.size_cap,
     }
-    payload = _moments_payload(params)
+    payload, distribution = _moments_payload(params)
     if args.distribution_csv:
         from .oracle import distribution_csv, exact_distribution
 
-        text = distribution_csv(
-            exact_distribution(args.n, parse_shape(args.shape), size_cap=args.size_cap)
-        )
+        if distribution is None:
+            shape = parse_shape(args.shape)
+            distribution = exact_distribution(args.n, shape, size_cap=args.size_cap)
+        text = distribution_csv(distribution)
         with open(args.distribution_csv, "w", encoding="utf-8") as fh:
             fh.write(text)
         params["distributionCsvSha256"] = hashlib.sha256(text.encode()).hexdigest()

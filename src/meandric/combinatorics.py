@@ -1,7 +1,7 @@
 """Exact integer primitives for the Catalan world.
 
-Catalan numbers, falling factorials, interval placement counts, and the
-two elementary encodings used everywhere else in the package: Dyck words
+Catalan numbers, falling factorials, binomial coefficients, and the two
+elementary encodings used everywhere else in the package: Dyck words
 (balanced step sequences) and non-crossing perfect matchings of
 ``{1, ..., 2n}``.  All arithmetic here is exact; the only floating point
 functions are the log-scale evaluators, which exist because quantities
@@ -22,9 +22,7 @@ __all__ = [
     "catalan",
     "log_catalan",
     "falling_factorial",
-    "log_falling_factorial",
     "choose",
-    "disjoint_interval_count",
     "DyckWord",
     "NonCrossingMatching",
     "enumerate_dyck_words",
@@ -65,26 +63,11 @@ def falling_factorial(n: int, k: int) -> int:
     return out
 
 
-def log_falling_factorial(n: int, k: int) -> float:
-    """Natural log of ``falling_factorial(n, k)`` for ``n >= k >= 0``."""
-    if not 0 <= k <= n:
-        raise ValueError(f"log_falling_factorial needs 0 <= k <= n, got n={n} k={k}")
-    return math.lgamma(n + 1) - math.lgamma(n - k + 1)
-
-
 def choose(n: int, k: int) -> int:
     """Binomial coefficient with the counting convention: 0 out of range."""
     if k < 0 or n < k:
         return 0
     return math.comb(n, k)
-
-
-def disjoint_interval_count(n: int, m: int, k: int) -> int:
-    """Number of unordered k-tuples of disjoint integer intervals of size
-    m inside ``[n]``, i.e. ``C(n - k(m-1), k)``; zero when they do not fit."""
-    if n < 1 or m < 1 or k < 1:
-        raise ValueError("disjoint_interval_count needs n, m, k >= 1")
-    return choose(n - k * (m - 1), k)
 
 
 # ---------------------------------------------------------------------------
@@ -132,22 +115,13 @@ class DyckWord:
         return "".join("U" if s == 1 else "D" for s in self.steps)
 
 
-def enumerate_dyck_words(n: int, prefix: tuple[int, ...] = ()) -> Iterator[DyckWord]:
+def enumerate_dyck_words(n: int) -> Iterator[DyckWord]:
     """All Dyck words with ``n`` up-steps, in ascending lexicographic order
     with ``+1`` ordered before ``-1`` (so the fully nested word comes first
-    and the alternating word last).
-
-    ``prefix`` restricts the stream to completions of a fixed start, which
-    lets callers split the enumeration for parallel consumption.
-    """
+    and the alternating word last)."""
     if n < 0:
         raise ValueError(f"enumerate_dyck_words undefined for n={n}")
-    ups = sum(1 for s in prefix if s == 1)
-    height = sum(prefix)
-    if height < 0 or ups > n or ups - height > n - ups:
-        return
-
-    buf = list(prefix)
+    buf: list[int] = []
 
     def rec(ups_left: int, height: int) -> Iterator[DyckWord]:
         if ups_left == 0 and height == 0:
@@ -162,7 +136,7 @@ def enumerate_dyck_words(n: int, prefix: tuple[int, ...] = ()) -> Iterator[DyckW
             yield from rec(ups_left, height - 1)
             buf.pop()
 
-    yield from rec(n - ups, height)
+    yield from rec(n, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ horizontal axis and the lower matching's arcs below it yields a family of
 disjoint closed loops crossing the axis exactly at ``1..2n``.  Each loop is
 a connected component; its translation-normalized combinatorial type is a
 shape.  This module traces loops, extracts and validates shapes, counts
-occurrences of a given shape, and enumerates all shapes of a given
-half-length.
+occurrences of a given shape (by tracing, and by :func:`arcs_at`, the
+vectorized arc test the sampler and the oracle share), and enumerates all
+shapes of a given half-length.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .combinatorics import NonCrossingMatching, enumerate_matchings
 from .errors import CapExceededError, InvalidMatchingError, InvalidShapeError
@@ -26,10 +29,9 @@ __all__ = [
     "simple_loop",
     "parse_shape",
     "format_shape",
-    "trace_loop",
     "components",
     "component_shape",
-    "has_shape_at",
+    "arcs_at",
     "count_shape",
     "enumerate_shapes",
     "arcs_noncrossing",
@@ -214,28 +216,6 @@ def parse_shape(text: str) -> Shape:
 # ---------------------------------------------------------------------------
 
 
-def trace_loop(system: MeandricSystem, v: int) -> Component:
-    """The component through vertex ``v``.
-
-    Starting on the upper half-plane, alternately follow the upper and
-    lower partner until the walk returns to the start.  The direction is
-    irrelevant to the support; starting upper-first is fixed so traces
-    are deterministic.
-    """
-    if not 1 <= v <= 2 * system.size:
-        raise ValueError(f"vertex {v} outside [1, {2 * system.size}]")
-    up, lo = system.upper.partner, system.lower.partner
-    support = []
-    w, on_upper = v, True
-    while True:
-        support.append(w)
-        w = up[w] if on_upper else lo[w]
-        on_upper = not on_upper
-        if w == v and on_upper:
-            break
-    return Component(tuple(sorted(support)))
-
-
 def components(system: MeandricSystem) -> list[Component]:
     """All loops, listed by increasing leftmost vertex; supports partition
     the vertex set, computed in one O(n) sweep."""
@@ -271,23 +251,22 @@ def component_shape(component: Component, system: MeandricSystem) -> Shape:
     return Shape(tuple(v + shift for v in component.support), upper, lower)
 
 
-def has_shape_at(system: MeandricSystem, position: int, shape: Shape) -> bool:
-    """True iff the loop through ``position`` has ``position`` as its
-    leftmost vertex and the given shape.
+def arcs_at(partners: np.ndarray, arcs: Iterable[tuple[int, int]], width: int) -> np.ndarray:
+    """Where a set of arcs sits in rows of 0-based partners.
 
-    Equivalent to checking that every arc of the translated shape is
-    present in the system: the shape's arcs already close a loop, so no
-    stray vertices can join it.
+    Entry ``(k, i)`` of the ``(rows, width)`` result is True iff row k
+    pairs ``a - 1 + i`` with ``b - 1 + i`` for every arc ``(a, b)``, i.e.
+    contains the arcs translated to start at position ``i + 1``.  With one
+    half of a shape per call, a copy of the shape starts at ``i + 1``
+    exactly where the upper and lower results are both True: the shape's
+    arcs already close a loop, so no stray vertex can join it.
     """
-    if not 1 <= position <= 2 * system.size:
-        raise ValueError(f"position {position} outside [1, {2 * system.size}]")
-    shift = position - 1
-    if shape.support[-1] + shift > 2 * system.size:
-        return False
-    up, lo = system.upper.partner, system.lower.partner
-    return all(up[a + shift] == b + shift for a, b in shape.upper) and all(
-        lo[a + shift] == b + shift for a, b in shape.lower
-    )
+    idx = np.arange(width)
+    (a, b), *rest = arcs
+    hits = partners[:, a - 1 : a - 1 + width] == idx + (b - 1)
+    for a, b in rest:
+        hits &= partners[:, a - 1 : a - 1 + width] == idx + (b - 1)
+    return hits
 
 
 def count_shape(system: MeandricSystem, shape: Shape) -> int:

@@ -6,11 +6,13 @@ point is used in this module.  These values are the reference that the
 closed forms in :mod:`meandric.analysis` are tested against.
 
 Performance note: whether a copy of a shape sits at position i factorizes
-into an upper-matching condition and a lower-matching condition.  Each
-enumerated matching is therefore reduced once to a bitmask of positions
-where it supports the shape's upper (resp. lower) arcs, and sums over all
-upper/lower pairs collapse into products over grouped mask counts.  The
-result is identical to iterating the full outer/inner product in its
+into an upper-matching condition and a lower-matching condition.  All
+matchings of size n are stacked once into a ``catalan(n) x 2n`` partner
+matrix, :func:`meandric.meanders.arcs_at` tests each half of the shape at
+every position of every matching in one vectorized pass, and each
+matching's row of hits is packed into one integer bitmask.  Sums over all
+upper/lower pairs then collapse into products over grouped mask counts.
+The result is identical to iterating the full outer/inner product in its
 documented deterministic order, and tests cross-check it against direct
 loop tracing on the streamed systems.
 """
@@ -24,7 +26,10 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
+import numpy as np
+
 from .analysis import (
+    _face_weight,
     disjoint_moment_term,
     factorial_moment_strong,
     fraction_json,
@@ -33,7 +38,7 @@ from .analysis import (
 )
 from .combinatorics import NonCrossingMatching, catalan, enumerate_matchings, falling_factorial
 from .errors import CapExceededError, FormulaMismatchError
-from .meanders import MeandricSystem, Shape, format_shape
+from .meanders import MeandricSystem, Shape, arcs_at, format_shape
 
 __all__ = [
     "DEFAULT_SIZE_CAP",
@@ -82,19 +87,10 @@ def _occurrence_masks(n: int, shape: Shape) -> tuple[tuple[int, ...], tuple[int,
     j contains the shape's upper arcs translated to start at i; same for
     the lower arcs."""
     width = 2 * n - 2 * shape.half_length + 1
-    ms = _matchings(n)
-    up_masks, lo_masks = [], []
-    for m in ms:
-        p = m.partner
-        up = lo = 0
-        for i in range(width):
-            if all(p[a + i] == b + i for a, b in shape.upper):
-                up |= 1 << i
-            if all(p[a + i] == b + i for a, b in shape.lower):
-                lo |= 1 << i
-        up_masks.append(up)
-        lo_masks.append(lo)
-    return tuple(up_masks), tuple(lo_masks)
+    partners = np.array([m.partner for m in _matchings(n)])[:, 1:] - 1
+    bits = 1 << np.arange(width, dtype=np.int64)
+    up, lo = (arcs_at(partners, arcs, width) @ bits for arcs in (shape.upper, shape.lower))
+    return tuple(up.tolist()), tuple(lo.tolist())
 
 
 def _mask_counters(n: int, shape: Shape) -> tuple[Counter, Counter]:
@@ -102,16 +98,25 @@ def _mask_counters(n: int, shape: Shape) -> tuple[Counter, Counter]:
     return Counter(up_masks), Counter(lo_masks)
 
 
+def _joint_masks(n: int, shape: Shape) -> Counter:
+    """Number of systems per joint occurrence mask ``up & lo``: bit
+    ``i-1`` is set iff a copy of the shape starts at position i."""
+    up_counter, lo_counter = _mask_counters(n, shape)
+    joint: Counter = Counter()
+    for up_mask, up_count in up_counter.items():
+        for lo_mask, lo_count in lo_counter.items():
+            joint[up_mask & lo_mask] += up_count * lo_count
+    return joint
+
+
 def exact_distribution(n: int, shape: Shape, size_cap: int = DEFAULT_SIZE_CAP) -> dict[int, int]:
     """Histogram of the shape count over all ``catalan(n)**2`` systems."""
     _check_cap(n, size_cap)
     if 2 * shape.half_length > 2 * n:
         return {0: catalan(n) ** 2}
-    up_counter, lo_counter = _mask_counters(n, shape)
     dist: Counter = Counter()
-    for up_mask, up_count in up_counter.items():
-        for lo_mask, lo_count in lo_counter.items():
-            dist[(up_mask & lo_mask).bit_count()] += up_count * lo_count
+    for mask, weight in _joint_masks(n, shape).items():
+        dist[mask.bit_count()] += weight
     return dict(sorted(dist.items()))
 
 
@@ -122,15 +127,19 @@ def distribution_csv(distribution: dict[int, int]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _factorial_moment(distribution: dict[int, int], n: int, r: int) -> Fraction:
+    """r-th factorial moment of a count distribution over all size-n systems."""
+    if r < 0:
+        raise ValueError(f"r must be >= 0, got {r}")
+    total = sum(falling_factorial(x, r) * c for x, c in distribution.items())
+    return Fraction(total, catalan(n) ** 2)
+
+
 def exact_factorial_moment(
     n: int, r: int, shape: Shape, size_cap: int = DEFAULT_SIZE_CAP
 ) -> Fraction:
     """r-th factorial moment of the shape count, by enumeration."""
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
-    dist = exact_distribution(n, shape, size_cap)
-    total = sum(falling_factorial(x, r) * c for x, c in dist.items())
-    return Fraction(total, catalan(n) ** 2)
+    return _factorial_moment(exact_distribution(n, shape, size_cap), n, r)
 
 
 def closed_form_pair_probability(n: int, offset: int, shape: Shape) -> Fraction:
@@ -146,14 +155,11 @@ def closed_form_pair_probability(n: int, offset: int, shape: Shape) -> Fraction:
     decomp = pair_placement(shape, offset)
     if decomp is None:
         return Fraction(0)
-    weight = 1
-    for count in decomp.bounded_counts():
-        weight *= catalan(count // 2)
     i_up = n - (base_size - decomp.open_upper) // 2
     i_lo = n - (base_size - decomp.open_lower) // 2
     if i_up < 0 or i_lo < 0:
         return Fraction(0)
-    return Fraction(weight * catalan(i_up) * catalan(i_lo), catalan(n) ** 2)
+    return Fraction(_face_weight(decomp) * catalan(i_up) * catalan(i_lo), catalan(n) ** 2)
 
 
 def exact_pair_probability(
@@ -161,15 +167,14 @@ def exact_pair_probability(
     offset: int,
     shape: Shape,
     size_cap: int = DEFAULT_SIZE_CAP,
-    cross_check: bool = True,
 ) -> Fraction:
     """Probability that the system has copies of the shape starting at
     positions 1 and ``offset``, by enumeration.
 
-    With ``cross_check`` (default) the closed form is evaluated too and a
-    disagreement raises :class:`FormulaMismatchError`; a disagreement
-    would mean the combinatorial feasibility rule and the enumeration
-    disagree about this offset and must be reported, not patched over.
+    The closed form is evaluated too and a disagreement raises
+    :class:`FormulaMismatchError`; a disagreement would mean the
+    combinatorial feasibility rule and the enumeration disagree about this
+    offset and must be reported, not patched over.
     """
     _check_cap(n, size_cap)
     if offset < 2:
@@ -182,13 +187,12 @@ def exact_pair_probability(
     up_hits = sum(c for mask, c in up_counter.items() if mask & need == need)
     lo_hits = sum(c for mask, c in lo_counter.items() if mask & need == need)
     enumerated = Fraction(up_hits * lo_hits, catalan(n) ** 2)
-    if cross_check:
-        formula = closed_form_pair_probability(n, offset, shape)
-        if formula != enumerated:
-            raise FormulaMismatchError(
-                f"pair probability mismatch at n={n} offset={offset} "
-                f"shape={format_shape(shape)}: enumerated {enumerated}, closed form {formula}"
-            )
+    formula = closed_form_pair_probability(n, offset, shape)
+    if formula != enumerated:
+        raise FormulaMismatchError(
+            f"pair probability mismatch at n={n} offset={offset} "
+            f"shape={format_shape(shape)}: enumerated {enumerated}, closed form {formula}"
+        )
     return enumerated
 
 
@@ -218,13 +222,8 @@ def block_spectrum(
     span = 2 * shape.half_length
     if span > 2 * n:
         return {}
-    up_counter, lo_counter = _mask_counters(n, shape)
-    joint: Counter = Counter()
-    for up_mask, up_count in up_counter.items():
-        for lo_mask, lo_count in lo_counter.items():
-            joint[up_mask & lo_mask] += up_count * lo_count
     spectrum: Counter = Counter()
-    for mask, weight in joint.items():
+    for mask, weight in _joint_masks(n, shape).items():
         positions = tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
         if len(positions) < r:
             continue
@@ -240,7 +239,8 @@ class MomentReport:
 
     ``formula_moment`` is absent for weak shapes with r >= 2, where the
     strong-shape closed form does not apply; the universal lower bound
-    ``r! * disjoint_moment_term`` is always present.
+    ``r! * disjoint_moment_term`` is always present.  ``distribution`` is
+    the :func:`exact_distribution` the exact moment was taken from.
     """
 
     n: int
@@ -249,6 +249,7 @@ class MomentReport:
     exact_moment: Fraction
     formula_moment: Fraction | None
     lower_bound: Fraction
+    distribution: dict[int, int]
 
     def to_json_dict(self) -> dict:
         return {
@@ -266,7 +267,8 @@ class MomentReport:
 def moment_report(n: int, r: int, shape: Shape, size_cap: int = DEFAULT_SIZE_CAP) -> MomentReport:
     """Assemble the exact moment, the closed form where it applies, and
     the universal lower bound; enforce their relations."""
-    exact = exact_factorial_moment(n, r, shape, size_cap)
+    distribution = exact_distribution(n, shape, size_cap)
+    exact = _factorial_moment(distribution, n, r)
     constants = shape_constants(shape)
     formula = factorial_moment_strong(n, r, shape) if constants.is_strong else None
     bound = falling_factorial(r, r) * disjoint_moment_term(n, r, shape)
@@ -281,5 +283,11 @@ def moment_report(n: int, r: int, shape: Shape, size_cap: int = DEFAULT_SIZE_CAP
             f"at n={n} r={r} shape={format_shape(shape)}"
         )
     return MomentReport(
-        n=n, r=r, shape=shape, exact_moment=exact, formula_moment=formula, lower_bound=bound
+        n=n,
+        r=r,
+        shape=shape,
+        exact_moment=exact,
+        formula_moment=formula,
+        lower_bound=bound,
+        distribution=distribution,
     )

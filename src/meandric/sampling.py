@@ -22,7 +22,7 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.special import chdtrc, ndtr
@@ -30,7 +30,7 @@ from scipy.special import chdtrc, ndtr
 from .analysis import clt_parameters
 from .combinatorics import NonCrossingMatching, enumerate_matchings
 from .errors import MeandricError
-from .meanders import MeandricSystem, Shape, format_shape
+from .meanders import MeandricSystem, Shape, arcs_at, format_shape
 
 __all__ = [
     "UPPER_STREAM",
@@ -49,8 +49,6 @@ __all__ = [
     "GateCheck",
     "GateReport",
     "evaluate_gates",
-    "CltReport",
-    "clt_report",
 ]
 
 UPPER_STREAM = 0
@@ -180,15 +178,10 @@ def sample_system(n: int, position: int, seed: int) -> MeandricSystem:
 
 def _count_rows(up: np.ndarray, lo: np.ndarray, shape: Shape) -> np.ndarray:
     """Occurrences of the shape in each system of a block, given as rows of
-    0-based upper and lower partners, vectorized over starting positions."""
+    0-based upper and lower partners."""
     width = up.shape[1] - 2 * shape.half_length + 1
-    idx = np.arange(width)
-    ok = np.ones((up.shape[0], width), dtype=bool)
-    for a, b in shape.upper:
-        ok &= up[:, a - 1 : a - 1 + width] == idx + (b - 1)
-    for a, b in shape.lower:
-        ok &= lo[:, a - 1 : a - 1 + width] == idx + (b - 1)
-    return np.count_nonzero(ok, axis=1)
+    hits = arcs_at(up, shape.upper, width) & arcs_at(lo, shape.lower, width)
+    return np.count_nonzero(hits, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +201,8 @@ class ExperimentConfig:
     worker_count: int = 1
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
         if not 0 <= self.seed < 1 << 64:
@@ -454,6 +449,8 @@ def _uniformity_chunk(args: tuple[int, int, int, int, np.ndarray]) -> np.ndarray
 def matching_uniformity(n: int, draws: int, seed: int, worker_count: int = 1) -> UniformityReport:
     """Draw matchings and chi-square the observed counts over all
     ``catalan(n)`` outcomes against exact uniformity."""
+    if draws < 1:
+        raise ValueError(f"draws must be >= 1, got {draws}")
     codes = _dyck_codes(np.array([m.partner[1:] for m in enumerate_matchings(n)]) - 1)
     chunk = 50_000
     chunks = [
@@ -527,60 +524,3 @@ def evaluate_gates(summary: SampleSummary, profile: str = "full") -> GateReport:
             )
         )
     return GateReport(tuple(checks))
-
-
-# ---------------------------------------------------------------------------
-# CLT drift report
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CltReport:
-    """Standardized moments across increasing n, for eyeballing the drift
-    of (mean, variance, skewness, excess kurtosis) toward (0, 1, 0, 0)."""
-
-    summaries: tuple[SampleSummary, ...]
-
-    def rows(self) -> list[dict]:
-        out = []
-        for s in self.summaries:
-            sd = math.sqrt(s.predicted_variance)
-            out.append(
-                {
-                    "n": s.n,
-                    "samples": s.sample_count,
-                    "standardizedMean": (s.mean - s.predicted_mean) / sd,
-                    "varianceRatio": s.variance / s.predicted_variance,
-                    "skewness": s.skewness,
-                    "excessKurtosis": s.excess_kurtosis,
-                    "adStatistic": s.ad_statistic,
-                }
-            )
-        return out
-
-    def csv_text(self) -> str:
-        cols = [
-            "n",
-            "samples",
-            "standardizedMean",
-            "varianceRatio",
-            "skewness",
-            "excessKurtosis",
-            "adStatistic",
-        ]
-        lines = [",".join(cols)]
-        for row in self.rows():
-            lines.append(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c]) for c in cols))
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {"rows": self.rows(), "summaries": [s.to_json_dict() for s in self.summaries]}
-
-
-def clt_report(configs: Iterable[ExperimentConfig]) -> CltReport:
-    """Run experiments over at least two sizes n and tabulate the drift of
-    the standardized moments."""
-    cfgs = list(configs)
-    if len({c.n for c in cfgs}) < 2:
-        raise ValueError("clt_report needs configs with at least two distinct n")
-    return CltReport(tuple(run_experiment(c) for c in cfgs))

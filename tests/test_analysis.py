@@ -12,7 +12,6 @@ from meandric.analysis import (
     factorial_moment_strong,
     log_factorial_moment_asymptotic,
     log_factorial_moment_strong,
-    overlap_correction,
     pair_placement,
     shape_constants,
     tightness_profile,
@@ -99,7 +98,6 @@ def test_weak_l5_constants(weak_l5):
     assert info.face_weight == 1
     assert (info.open_free_upper, info.open_free_lower) == (2, 2)
     assert info.correction == 16
-    assert overlap_correction(weak_l5, info) == 16
 
 
 def test_all_half_length_2_shapes_are_strong():
@@ -173,16 +171,29 @@ def test_factorial_moment_strong_simple_loop_closed_form(loop1):
 
 
 def test_factorial_moment_equals_scaled_disjoint_term(strong_l6):
-    # factorial_moment_strong divides full Catalan numbers while
-    # disjoint_moment_term telescopes their quotients, so each side is an
-    # independent reference for the other.
+    # factorial_moment_strong is r! * disjoint_moment_term, which telescopes
+    # Catalan quotients; the reference divides full Catalan numbers:
+    # (slots)_r * W**r * catalan(i_up) * catalan(i_lo) / catalan(n)**2.
     shapes = [s for s in all_shapes(2) if shape_constants(s).is_strong] + [strong_l6]
     for shape in shapes:
+        c = shape_constants(shape)
+        ell = c.half_length
         for n in list(range(1, 9)) + [10**4]:
             for r in range(0, 4):
-                assert factorial_moment_strong(n, r, shape) == math.factorial(
-                    r
-                ) * disjoint_moment_term(n, r, shape)
+                slots = 2 * n - 2 * r * ell + r
+                i_up = n - r * ell + r * c.open_pairs_upper
+                i_lo = n - r * ell + r * c.open_pairs_lower
+                if slots < r or i_up < 0 or i_lo < 0:
+                    expected = Fraction(0)
+                else:
+                    expected = Fraction(
+                        falling_factorial(slots, r)
+                        * c.face_weight**r
+                        * catalan(i_up)
+                        * catalan(i_lo),
+                        catalan(n) ** 2,
+                    )
+                assert factorial_moment_strong(n, r, shape) == expected
 
 
 def test_factorial_moment_rejects_weak(weak_l5):

@@ -228,6 +228,8 @@ def test_sample_shape_too_large(capsys):
         ("--seed", str(2**64), f"seed {2**64} outside [0, 2**64)"),
         ("--samples", "0", "sample_count must be >= 1"),
         ("--workers", "0", "worker_count must be >= 1"),
+        ("--n", "0", "n must be >= 1, got 0"),
+        ("--n", "-5", "n must be >= 1, got -5"),
     ],
 )
 def test_sample_out_of_range_is_usage_error(capsys, flag, value, message):

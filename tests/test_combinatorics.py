@@ -8,13 +8,11 @@ from meandric.combinatorics import (
     DyckWord,
     NonCrossingMatching,
     catalan,
-    disjoint_interval_count,
     dyck_to_matching,
     enumerate_dyck_words,
     enumerate_matchings,
     falling_factorial,
     log_catalan,
-    log_falling_factorial,
     matching_to_dyck,
 )
 from meandric.errors import InvalidDyckWordError, InvalidMatchingError
@@ -45,28 +43,6 @@ def test_falling_factorial_split_identity():
     )
 
 
-def test_disjoint_interval_count():
-    assert disjoint_interval_count(8, 2, 1) == 7
-    assert disjoint_interval_count(5, 2, 2) == 3
-    assert disjoint_interval_count(4, 5, 1) == 0
-    with pytest.raises(ValueError):
-        disjoint_interval_count(0, 1, 1)
-
-
-def test_disjoint_interval_count_vs_brute_force():
-    # Place k disjoint intervals of size m in [n] by brute force.
-    from itertools import combinations
-
-    for n, m, k in [(8, 2, 2), (9, 3, 2), (7, 2, 3), (6, 4, 2)]:
-        starts = range(1, n - m + 2)
-        brute = sum(
-            1
-            for chosen in combinations(starts, k)
-            if all(b - a >= m for a, b in zip(chosen, chosen[1:]))
-        )
-        assert disjoint_interval_count(n, m, k) == brute
-
-
 def test_log_catalan_accuracy():
     assert log_catalan(0) == 0.0
     assert abs(log_catalan(8) - math.log(1430)) < 1e-12
@@ -81,16 +57,6 @@ def test_log_catalan_dyadic_decay():
     n, r = 10**6, 1000
     gap = log_catalan(n - r) - log_catalan(n) + 2 * r * math.log(2)
     assert abs(gap) < 0.01
-
-
-def test_log_falling_factorial_gaussian_window():
-    # (n)_k is n**k * exp(-k**2 / 2n) up to a relative error below 1e-2
-    # in the window k = O(sqrt(n)).
-    n, k = 10**6, 1000
-    gap = log_falling_factorial(n, k) - (k * math.log(n) - k * k / (2 * n))
-    assert abs(gap) < 0.01
-    with pytest.raises(ValueError):
-        log_falling_factorial(5, 6)
 
 
 def test_dyck_word_text_forms():
@@ -126,15 +92,6 @@ def test_enumeration_counts_and_first_word():
     assert words[0].to_text() == "UUUDDD"
     assert words[-1].to_text() == "UDUDUD"
     assert words == sorted(words, key=lambda w: w.steps, reverse=True)
-
-
-def test_enumeration_prefix_split():
-    n = 5
-    whole = list(enumerate_dyck_words(n))
-    split = list(enumerate_dyck_words(n, prefix=(1, 1))) + list(
-        enumerate_dyck_words(n, prefix=(1, -1))
-    )
-    assert whole == split
 
 
 def test_matching_round_trip_exhaustive():

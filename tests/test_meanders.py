@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,17 +6,17 @@ from hypothesis import strategies as st
 from meandric.combinatorics import NonCrossingMatching
 from meandric.errors import CapExceededError, InvalidMatchingError, InvalidShapeError
 from meandric.meanders import (
+    Component,
     MeandricSystem,
     Shape,
+    arcs_at,
     component_shape,
     components,
     count_shape,
     enumerate_shapes,
     format_shape,
-    has_shape_at,
     parse_shape,
     simple_loop,
-    trace_loop,
 )
 from meandric.oracle import enumerate_systems
 from meandric.sampling import sample_system
@@ -32,6 +33,19 @@ def rainbow(n):
     return NonCrossingMatching.from_arcs([(j, 2 * n + 1 - j) for j in range(1, n + 1)])
 
 
+def kernel_positions(system, shape):
+    """Positions where ``arcs_at`` finds both halves of the shape."""
+    up, lo = (np.array(m.partner[1:])[None, :] - 1 for m in (system.upper, system.lower))
+    width = 2 * system.size - 2 * shape.half_length + 1
+    hits = arcs_at(up, shape.upper, width) & arcs_at(lo, shape.lower, width)
+    return (np.flatnonzero(hits[0]) + 1).tolist()
+
+
+def traced_positions(system, shape):
+    """Leftmost vertices of the traced components of the given shape."""
+    return [c.left for c in components(system) if component_shape(c, system) == shape]
+
+
 def test_system_validation():
     with pytest.raises(InvalidMatchingError):
         MeandricSystem(ADJ4, NonCrossingMatching.from_text("1-2"))
@@ -41,20 +55,18 @@ def test_trace_single_pair():
     system = MeandricSystem(
         NonCrossingMatching.from_text("1-2"), NonCrossingMatching.from_text("1-2")
     )
-    comp = trace_loop(system, 1)
+    (comp,) = components(system)
     assert comp.support == (1, 2)
     assert comp.half_length == 1
 
 
 def test_trace_connected_four():
-    comp = trace_loop(MeandricSystem(ADJ4, NEST4), 1)
-    assert comp.support == (1, 2, 3, 4)
+    assert components(MeandricSystem(ADJ4, NEST4)) == [Component((1, 2, 3, 4))]
 
 
 def test_trace_two_components():
     system = MeandricSystem(ADJ4, ADJ4)
-    assert len(components(system)) == 2
-    assert trace_loop(system, 3).support == (3, 4)
+    assert components(system) == [Component((1, 2)), Component((3, 4))]
 
 
 def test_components_partition():
@@ -69,7 +81,8 @@ def test_component_shape_translation():
     # A simple loop living on {3,4} normalizes to the simple loop.
     upper = NonCrossingMatching.from_arcs([(1, 2), (3, 4), (5, 6)])
     system = MeandricSystem(upper, upper)
-    comp = trace_loop(system, 3)
+    comp = components(system)[1]
+    assert comp.support == (3, 4)
     assert component_shape(comp, system) == simple_loop()
 
 
@@ -79,7 +92,7 @@ def test_strong_l6_component_extraction(strong_l6):
     upper = NonCrossingMatching.from_arcs([(1, 4), (2, 3), (5, 6), (7, 12), (8, 9), (10, 11)])
     lower = NonCrossingMatching.from_arcs([(1, 12), (4, 7), (5, 6), (2, 3), (8, 9), (10, 11)])
     system = MeandricSystem(upper, lower)
-    comp = trace_loop(system, 1)
+    comp = components(system)[0]
     assert comp.support == (1, 4, 7, 12)
     assert component_shape(comp, system) == strong_l6
     assert count_shape(system, strong_l6) == 1
@@ -97,9 +110,7 @@ def test_weak_l5_double_occurrence(weak_l5):
     )
     system = MeandricSystem(upper, lower)
     assert count_shape(system, weak_l5) == 2
-    assert has_shape_at(system, 1, weak_l5)
-    assert has_shape_at(system, 7, weak_l5)
-    assert not has_shape_at(system, 2, weak_l5)
+    assert kernel_positions(system, weak_l5) == traced_positions(system, weak_l5) == [1, 7]
 
 
 def test_count_disjoint_simple_loops():
@@ -122,10 +133,9 @@ def test_indicator_sums_to_count():
     shapes = enumerate_shapes(1) + enumerate_shapes(2)
     for system in enumerate_systems(3):
         for shape in shapes:
-            total = sum(
-                has_shape_at(system, i, shape) for i in range(1, 2 * system.size + 1)
-            )
-            assert total == count_shape(system, shape)
+            positions = kernel_positions(system, shape)
+            assert positions == traced_positions(system, shape)
+            assert len(positions) == count_shape(system, shape)
 
 
 def test_shape_counts_cover_components():
@@ -207,5 +217,6 @@ def test_shape_grammar_diagnostics(text, invariant):
 def test_count_matches_indicator_sum_on_random_systems(position, n):
     system = sample_system(n, position, seed=123)
     for shape in (simple_loop(), *enumerate_shapes(2)):
-        total = sum(has_shape_at(system, i, shape) for i in range(1, 2 * n + 1))
-        assert total == count_shape(system, shape)
+        positions = kernel_positions(system, shape)
+        assert positions == traced_positions(system, shape)
+        assert len(positions) == count_shape(system, shape)

@@ -40,14 +40,14 @@ def test_distribution_shape_too_large(weak_l5):
     assert exact_distribution(3, weak_l5) == {0: catalan(3) ** 2}
 
 
-def test_distribution_against_tracing():
-    shapes = enumerate_shapes(1) + enumerate_shapes(2)
-    for n in (1, 2, 3):
-        for shape in shapes:
-            brute = Counter()
-            for system in enumerate_systems(n):
-                brute[count_shape(system, shape)] += 1
-            assert dict(brute) == exact_distribution(n, shape)
+def test_distribution_against_tracing(weak_l5):
+    # The weak example at n=6 has 3 positions and halves of three arcs.
+    cases = [(n, shape) for n in (1, 2, 3, 4) for shape in enumerate_shapes(1) + enumerate_shapes(2)]
+    for n, shape in cases + [(6, weak_l5)]:
+        brute = Counter()
+        for system in enumerate_systems(n):
+            brute[count_shape(system, shape)] += 1
+        assert dict(brute) == exact_distribution(n, shape)
 
 
 def test_distribution_csv(loop1):

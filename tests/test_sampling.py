@@ -16,7 +16,6 @@ from meandric.sampling import (
     ExperimentConfig,
     anderson_darling_statistic,
     chi_square_uniformity,
-    clt_report,
     evaluate_gates,
     matching_uniformity,
     run_experiment,
@@ -122,6 +121,15 @@ def test_experiment_config_validation(weak_l5):
         ExperimentConfig(n=4, sample_count=10, shape=weak_l5, seed=0)
     with pytest.raises(ValueError):
         ExperimentConfig(n=4, sample_count=0, shape=simple_loop(), seed=0)
+    for n in (0, -5):
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+            ExperimentConfig(n=n, sample_count=10, shape=simple_loop(), seed=0)
+
+
+def test_uniformity_needs_draws():
+    for draws in (0, -1):
+        with pytest.raises(ValueError, match=f"draws must be >= 1, got {draws}"):
+            matching_uniformity(3, draws, seed=1)
 
 
 def test_run_experiment_summary(loop1):
@@ -187,30 +195,19 @@ def test_predictions_hold_for_all_small_shapes():
         assert abs(summary.z_variance) < 3, (shape, summary.z_variance)
 
 
-def test_clt_report_requires_two_sizes(loop1):
-    with pytest.raises(ValueError):
-        clt_report([])
-    with pytest.raises(ValueError):
-        clt_report([ExperimentConfig(n=100, sample_count=10, shape=loop1, seed=0)])
-
-
 def test_clt_report_drift(loop1):
-    report = clt_report(
-        [
+    # The standardized moments drift toward the normal law as n grows.
+    summaries = [
+        run_experiment(
             ExperimentConfig(n=n, sample_count=6000, shape=loop1, seed=3, worker_count=4)
-            for n in (200, 800, 3200)
-        ]
-    )
-    rows = report.rows()
-    skews = [abs(row["skewness"]) for row in rows]
+        )
+        for n in (200, 800, 3200)
+    ]
+    skews = [abs(s.skewness) for s in summaries]
     assert skews[0] > skews[1] > skews[2]
     assert skews[2] < 0.06
-    assert rows[-1]["adStatistic"] < 1.035
-    assert all(abs(row["varianceRatio"] - 1) < 0.1 for row in rows)
-    csv_text = report.csv_text()
-    header = csv_text.splitlines()[0].split(",")
-    assert header[:3] == ["n", "samples", "standardizedMean"]
-    assert len(csv_text.splitlines()) == 4
+    assert summaries[-1].ad_statistic < 1.035
+    assert all(abs(s.variance / s.predicted_variance - 1) < 0.1 for s in summaries)
 
 
 # ---------------------------------------------------------------------------
