@@ -29,6 +29,7 @@ from .errors import (
     InvalidMatchingError,
     InvalidShapeError,
     MeandricError,
+    OracleInvariantError,
     WeakShapeError,
 )
 from .meanders import (

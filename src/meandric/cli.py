@@ -170,6 +170,10 @@ def _moments_payload(params: dict) -> tuple[dict, dict[int, int] | None]:
     mode computed one."""
     shape = parse_shape(params["shape"])
     n, r = params["n"], params["r"]
+    if n < 1:
+        raise UsageError(f"n must be >= 1, got {n}")
+    if r < 0:
+        raise UsageError(f"r must be >= 0, got {r}")
     modes = params["mode"].split(",")
     for mode in modes:
         if mode not in ("exact", "formula", "asymptotic"):

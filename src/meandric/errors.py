@@ -33,3 +33,8 @@ class CapExceededError(MeandricError, ValueError):
 
 class FormulaMismatchError(MeandricError):
     """Enumeration and closed form disagree where they must agree exactly."""
+
+
+class OracleInvariantError(MeandricError):
+    """The enumeration oracle's exact counts violate an invariant they
+    hold by construction (nonnegative, summing to ``catalan(n)**2``)."""

@@ -10,20 +10,26 @@ into an upper-matching condition and a lower-matching condition.  All
 matchings of size n are stacked once into a ``catalan(n) x 2n`` partner
 matrix, :func:`meandric.meanders.arcs_at` tests each half of the shape at
 every position of every matching in one vectorized pass, and each
-matching's row of hits is packed into one integer bitmask.  Sums over all
-upper/lower pairs then collapse into products over grouped mask counts.
-The result is identical to iterating the full outer/inner product in its
-documented deterministic order, and tests cross-check it against direct
-loop tracing on the streamed systems.
+matching's row of hits is packed into one integer bitmask over the
+``width = 2n - 2 * half_length + 1`` positions.  Binned into counts per
+mask and summed over supersets (``width`` in-place numpy butterflies over
+``2**width`` entries), the two halves give ``U[S] * L[S]``, the number of
+systems with copies at every position of the set S.  Pair probabilities
+and block spectra read that product directly; one superset Moebius
+inversion turns it into the number of systems whose copies sit exactly
+at T, whose histogram by ``|T|`` is the distribution.  No step loops over
+masks in Python, and all arithmetic is in int64, exact because every
+intermediate value counts systems.  At n=9 (simple loop, 2**17 sets) a
+distribution takes about 0.07 s, enumeration included, where the product
+over the 2901 x 2901 distinct (upper, lower) mask pairs took 2.3 s.  Sets
+of more than ``MAX_MASK_WIDTH`` positions are refused.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterator
 
 import numpy as np
@@ -37,11 +43,12 @@ from .analysis import (
     shape_constants,
 )
 from .combinatorics import NonCrossingMatching, catalan, enumerate_matchings, falling_factorial
-from .errors import CapExceededError, FormulaMismatchError
+from .errors import CapExceededError, FormulaMismatchError, OracleInvariantError
 from .meanders import MeandricSystem, Shape, arcs_at, format_shape
 
 __all__ = [
     "DEFAULT_SIZE_CAP",
+    "MAX_MASK_WIDTH",
     "enumerate_systems",
     "exact_distribution",
     "distribution_csv",
@@ -54,6 +61,10 @@ __all__ = [
 ]
 
 DEFAULT_SIZE_CAP = 8
+
+# Most copy positions the oracle handles: 2**23 int64 counts (64 MiB) per
+# array, the simple loop at n=12.
+MAX_MASK_WIDTH = 23
 
 
 def _check_cap(n: int, size_cap: int) -> None:
@@ -81,32 +92,76 @@ def enumerate_systems(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> Iterator[Mean
             yield MeandricSystem(upper, lower)
 
 
+def _width(n: int, shape: Shape) -> int:
+    """Number of positions at which a copy of the shape can start."""
+    return 2 * n - 2 * shape.half_length + 1
+
+
 @lru_cache(maxsize=64)
-def _occurrence_masks(n: int, shape: Shape) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _occurrence_masks(n: int, shape: Shape) -> tuple[np.ndarray, np.ndarray]:
     """Per-matching bitmasks: bit ``i-1`` of ``up[j]`` is set iff matching
     j contains the shape's upper arcs translated to start at i; same for
-    the lower arcs."""
-    width = 2 * n - 2 * shape.half_length + 1
+    the lower arcs.  The arrays are read-only, since the cache shares them."""
+    width = _width(n, shape)
     partners = np.array([m.partner for m in _matchings(n)])[:, 1:] - 1
     bits = 1 << np.arange(width, dtype=np.int64)
-    up, lo = (arcs_at(partners, arcs, width) @ bits for arcs in (shape.upper, shape.lower))
-    return tuple(up.tolist()), tuple(lo.tolist())
+    masks = tuple(arcs_at(partners, arcs, width) @ bits for arcs in (shape.upper, shape.lower))
+    for mask in masks:
+        mask.flags.writeable = False
+    return masks
 
 
-def _mask_counters(n: int, shape: Shape) -> tuple[Counter, Counter]:
-    up_masks, lo_masks = _occurrence_masks(n, shape)
-    return Counter(up_masks), Counter(lo_masks)
+def _superset_sums(n: int, shape: Shape) -> tuple[np.ndarray, np.ndarray]:
+    """``(U, L)`` over all 2**width position sets S: ``U[S]`` counts the
+    upper matchings that hold the shape's upper arcs at every position of
+    S (bit ``i-1`` for position i), and ``L[S]`` the same for the lower.
+    So ``U[S] * L[S]`` counts the systems with copies at every position
+    of S."""
+    width = _width(n, shape)
+    if width > MAX_MASK_WIDTH or catalan(n) ** 2 >= 2**63:
+        raise CapExceededError(
+            f"size {n} needs 2**{width} position sets for a half-length-"
+            f"{shape.half_length} shape; the oracle stops at 2**{MAX_MASK_WIDTH}"
+        )
+    up, lo = (
+        _fold_supersets(np.bincount(masks, minlength=1 << width), np.add)
+        for masks in _occurrence_masks(n, shape)
+    )
+    return up, lo
 
 
-def _joint_masks(n: int, shape: Shape) -> Counter:
-    """Number of systems per joint occurrence mask ``up & lo``: bit
-    ``i-1`` is set iff a copy of the shape starts at position i."""
-    up_counter, lo_counter = _mask_counters(n, shape)
-    joint: Counter = Counter()
-    for up_mask, up_count in up_counter.items():
-        for lo_mask, lo_count in lo_counter.items():
-            joint[up_mask & lo_mask] += up_count * lo_count
-    return joint
+def _fold_supersets(counts: np.ndarray, op: np.ufunc) -> np.ndarray:
+    """``counts[S] = op(counts[S], counts[S | 2**k])`` for every bit k in
+    turn, in place: ``np.add`` sums each entry over its supersets and
+    ``np.subtract`` undoes that (superset Moebius inversion)."""
+    for k in range(counts.size.bit_length() - 1):
+        pairs = counts.reshape(-1, 2, 1 << k)
+        op(pairs[:, 0], pairs[:, 1], out=pairs[:, 0])
+    return counts
+
+
+def _exact_counts(n: int, shape: Shape) -> np.ndarray:
+    """Number of systems whose set of copy positions is exactly T, for
+    every T: the superset Moebius inversion of ``U * L``.
+
+    Each partial inversion step still counts systems, so every entry
+    stays in ``[0, catalan(n)**2]`` and int64 is exact."""
+    up, lo = _superset_sums(n, shape)
+    counts = _fold_supersets(up * lo, np.subtract)
+    if counts.min() < 0 or int(counts.sum()) != catalan(n) ** 2:
+        raise OracleInvariantError(
+            f"exact occurrence counts at n={n} shape={format_shape(shape)} are not a "
+            f"partition of the {catalan(n) ** 2} systems"
+        )
+    return counts
+
+
+def _popcounts(width: int) -> np.ndarray:
+    """Number of set bits of every integer below 2**width."""
+    table = np.zeros(1 << width, dtype=np.int8)
+    for k in range(width):
+        table[1 << k : 2 << k] = table[: 1 << k] + 1
+    return table
 
 
 def exact_distribution(n: int, shape: Shape, size_cap: int = DEFAULT_SIZE_CAP) -> dict[int, int]:
@@ -114,10 +169,12 @@ def exact_distribution(n: int, shape: Shape, size_cap: int = DEFAULT_SIZE_CAP) -
     _check_cap(n, size_cap)
     if 2 * shape.half_length > 2 * n:
         return {0: catalan(n) ** 2}
-    dist: Counter = Counter()
-    for mask, weight in _joint_masks(n, shape).items():
-        dist[mask.bit_count()] += weight
-    return dict(sorted(dist.items()))
+    counts = _exact_counts(n, shape)
+    sets = np.flatnonzero(counts)
+    width = _width(n, shape)
+    histogram = np.zeros(width + 1, dtype=np.int64)
+    np.add.at(histogram, _popcounts(width)[sets], counts[sets])
+    return {x: int(c) for x, c in enumerate(histogram) if c}
 
 
 def distribution_csv(distribution: dict[int, int]) -> str:
@@ -182,11 +239,9 @@ def exact_pair_probability(
     ell = shape.half_length
     if 2 * ell + offset - 1 > 2 * n:
         raise ValueError(f"combined base {2 * ell + offset - 1} does not fit in [{2 * n}]")
-    up_counter, lo_counter = _mask_counters(n, shape)
+    up, lo = _superset_sums(n, shape)
     need = 1 | (1 << (offset - 1))
-    up_hits = sum(c for mask, c in up_counter.items() if mask & need == need)
-    lo_hits = sum(c for mask, c in lo_counter.items() if mask & need == need)
-    enumerated = Fraction(up_hits * lo_hits, catalan(n) ** 2)
+    enumerated = Fraction(int(up[need]) * int(lo[need]), catalan(n) ** 2)
     formula = closed_form_pair_probability(n, offset, shape)
     if formula != enumerated:
         raise FormulaMismatchError(
@@ -196,25 +251,17 @@ def exact_pair_probability(
     return enumerated
 
 
-def _split_blocks(positions: tuple[int, ...], span: int) -> int:
-    """Number of blocks of a sorted tuple under the chaining relation
-    "within span of the previous position"."""
-    blocks = 1
-    for a, b in zip(positions, positions[1:]):
-        if b - a >= span:
-            blocks += 1
-    return blocks
-
-
 def block_spectrum(
     n: int, r: int, shape: Shape, size_cap: int = DEFAULT_SIZE_CAP
 ) -> dict[int, Fraction]:
     """Split the r-th factorial moment by the number of blocks.
 
-    Every r-tuple of occurrence positions is classified by chaining
+    Every r-set of occurrence positions is classified by chaining
     positions closer than the base width ``2 * half_length``; the value
-    at block count u is the total expectation mass of r-tuples with u
-    blocks, so the values sum to ``exact_factorial_moment / r!``.
+    at block count u is the total expectation mass of r-sets with u
+    blocks, so the values sum to ``exact_factorial_moment / r!``.  The
+    mass of one r-set S is the number of systems with copies at every
+    position of S.
     """
     _check_cap(n, size_cap)
     if not 1 <= r <= 3:
@@ -222,15 +269,17 @@ def block_spectrum(
     span = 2 * shape.half_length
     if span > 2 * n:
         return {}
-    spectrum: Counter = Counter()
-    for mask, weight in _joint_masks(n, shape).items():
-        positions = tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
-        if len(positions) < r:
-            continue
-        for subset in combinations(positions, r):
-            spectrum[_split_blocks(subset, span)] += weight
+    up, lo = _superset_sums(n, shape)
+    popcounts = _popcounts(_width(n, shape))
+    sets = np.flatnonzero(popcounts == r)
+    near = np.zeros_like(sets)
+    for k in range(1, span):
+        near |= sets << k
+    blocks = popcounts[sets & ~near]  # positions with no other within span before them
+    mass = up[sets] * lo[sets]
     denom = catalan(n) ** 2
-    return {u: Fraction(w, denom) for u, w in sorted(spectrum.items())}
+    totals = {u: int(mass[blocks == u].sum()) for u in range(1, r + 1)}
+    return {u: Fraction(w, denom) for u, w in totals.items() if w}
 
 
 @dataclass(frozen=True)

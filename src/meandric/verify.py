@@ -2,9 +2,10 @@
 pytest acceptance suite.
 
 Each check returns ``(ok, detail)``.  The ``small`` suite covers the
-exact identities at half-length <= 2 and the fast numeric consistency
-checks; ``full`` adds the size-8 weak-shape checks, the half-length-3
-scans, the sampler gates, and the tightness profile.
+exact identities at half-length <= 2 up to n=7 and the fast numeric
+consistency checks; ``full`` takes the exact identities to n=10 and adds
+the size-10 weak-shape checks, the half-length-3 scans, the sampler
+gates, and the tightness profile.
 
 The tightness check evaluates each shape at the size where
 ``n * mean_coefficient / half_length`` takes one fixed value, because
@@ -74,10 +75,10 @@ def check_strong_moment_identity(n_max: int = 7, include_l6: bool = True) -> tup
     if include_l6:
         shapes.append(parse_shape(STRONG_L6))
     cases = 0
-    for shape in shapes:
-        for n in range(1, n_max + 1):
+    for n in range(1, n_max + 1):  # n outermost: each size is enumerated once
+        for shape in shapes:
             for r in (1, 2, 3):
-                exact = exact_factorial_moment(n, r, shape)
+                exact = exact_factorial_moment(n, r, shape, size_cap=n_max)
                 formula = factorial_moment_strong(n, r, shape)
                 if exact != formula:
                     return False, (
@@ -115,9 +116,9 @@ def check_first_moment_all_shapes(n_max: int = 7) -> tuple[bool, str]:
     """For every shape of half-length <= 2, weak or strong, the enumerated
     first moment equals the disjoint-copy count term exactly."""
     cases = 0
-    for shape in _shapes_up_to(2):
-        for n in range(1, n_max + 1):
-            exact = exact_factorial_moment(n, 1, shape)
+    for n in range(1, n_max + 1):
+        for shape in _shapes_up_to(2):
+            exact = exact_factorial_moment(n, 1, shape, size_cap=n_max)
             term = disjoint_moment_term(n, 1, shape)
             if exact != term:
                 return False, f"mismatch at n={n} ell={shape.half_length}: {exact} != {term}"
@@ -125,27 +126,29 @@ def check_first_moment_all_shapes(n_max: int = 7) -> tuple[bool, str]:
     return True, f"{cases} first-moment identities"
 
 
-def check_weak_shape_structure() -> tuple[bool, str]:
-    """The weak example shape: classified weak with offset 7; its pair
-    probability at n=8 is positive and equals the closed form exactly
-    (the equality is enforced inside exact_pair_probability); and the
-    enumerated second moment at n=8 respects the disjoint-tuple lower
-    bound."""
+def check_weak_shape_structure(n: int = 10) -> tuple[bool, str]:
+    """The weak example shape: classified weak with offset 7; at size n
+    its pair probability at offset 7 is positive and equals the closed
+    form exactly (the equality is enforced inside exact_pair_probability);
+    the enumerated second moment respects the disjoint-tuple lower bound;
+    and the block spectrum sums to the moment.  n=10 is the first size
+    where two disjoint copies fit, so the bound is positive there
+    (1/35263202 against the moment 129/141052808); at n=8 it is 0."""
     shape = parse_shape(WEAK_L5)
     c = shape_constants(shape)
     if c.is_strong or [o.offset for o in c.overlaps] != [7]:
         return False, f"expected weak with overlap offsets [7], got {[o.offset for o in c.overlaps]}"
-    pair = exact_pair_probability(8, 7, shape)
+    pair = exact_pair_probability(n, 7, shape, size_cap=n)
     if pair <= 0:
-        return False, f"pair probability at n=8 offset=7 is {pair}"
-    moment = exact_factorial_moment(8, 2, shape)
-    bound = 2 * disjoint_moment_term(8, 2, shape)
+        return False, f"pair probability at n={n} offset=7 is {pair}"
+    moment = exact_factorial_moment(n, 2, shape, size_cap=n)
+    bound = 2 * disjoint_moment_term(n, 2, shape)
     if moment < bound:
         return False, f"moment {moment} below bound {bound}"
-    spectrum = block_spectrum(8, 2, shape)
+    spectrum = block_spectrum(n, 2, shape, size_cap=n)
     if sum(spectrum.values(), Fraction(0)) * 2 != moment:
         return False, "block spectrum does not sum to the factorial moment"
-    return True, f"pair probability {pair}, second moment {moment} >= bound {bound}"
+    return True, f"n={n}: pair probability {pair}, second moment {moment} >= bound {bound}"
 
 
 def check_growth_inequality(ell_max: int = 3) -> tuple[bool, str]:
@@ -288,12 +291,15 @@ def check_tightness(shape_text: str | None = None) -> tuple[bool, str]:
 
 
 def run_suite(suite: str, worker_count: int = 1, echo: bool = False) -> list[tuple[str, bool, str]]:
-    """Run the named suite; returns (check, ok, detail) triples."""
+    """Run the named suite; returns (check, ok, detail) triples.  The
+    exact identities run to n=7 in the small suite and to n=10 in the
+    full one."""
+    n_max = 7 if suite == "small" else 10
     small = [
-        ("strong-moment-identity", lambda: check_strong_moment_identity(n_max=7)),
+        ("strong-moment-identity", lambda: check_strong_moment_identity(n_max=n_max)),
         ("strong-l6-constants", check_strong_l6_constants),
         ("simple-loop-parameters", check_simple_loop_parameters),
-        ("first-moment-all-shapes", lambda: check_first_moment_all_shapes(n_max=7)),
+        ("first-moment-all-shapes", lambda: check_first_moment_all_shapes(n_max=n_max)),
         ("growth-inequality", lambda: check_growth_inequality(ell_max=2)),
         ("asymptotic-consistency", check_asymptotic_consistency),
         ("hypothesis-checks", lambda: check_hypotheses_all_shapes(ell_max=2)),

@@ -26,9 +26,9 @@ def _report(num: int, ok: bool, detail: str) -> None:
 def test_criterion_01_strong_moment_identity():
     # Exact rational equality, zero tolerance: enumerated factorial
     # moments match the strong-shape product formula for r in 1..3,
-    # n <= 7, over all strong shapes of half-length <= 2 plus the
+    # n <= 10, over all strong shapes of half-length <= 2 plus the
     # half-length-6 example.
-    ok, detail = verify.check_strong_moment_identity(n_max=7, include_l6=True)
+    ok, detail = verify.check_strong_moment_identity(n_max=10, include_l6=True)
     _report(1, ok, detail)
     assert ok, detail
 
@@ -46,7 +46,7 @@ def test_criterion_03_simple_loop_parameters():
 
 
 def test_criterion_04_first_moment_identity():
-    ok, detail = verify.check_first_moment_all_shapes(n_max=7)
+    ok, detail = verify.check_first_moment_all_shapes(n_max=10)
     _report(4, ok, detail)
     assert ok, detail
 

@@ -241,6 +241,22 @@ def test_sample_out_of_range_is_usage_error(capsys, flag, value, message):
     assert err == f"usage error: {message}\n"
 
 
+@pytest.mark.parametrize("mode", ["exact", "formula", "asymptotic", "exact,formula,asymptotic"])
+@pytest.mark.parametrize(
+    "n,r,message",
+    [
+        ("0", "2", "n must be >= 1, got 0"),
+        ("-3", "1", "n must be >= 1, got -3"),
+        ("5", "-1", "r must be >= 0, got -1"),
+    ],
+)
+def test_moments_out_of_range_is_usage_error(capsys, mode, n, r, message):
+    code, out, err = run_cli(capsys, "moments", "--mode", mode, "--n", n, "--r", r, "--shape", LOOP)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"usage error: {message}\n"
+
+
 def test_config_file_and_env_workers(capsys, tmp_path, monkeypatch):
     config = tmp_path / "meandric.cfg"
     config.write_text("# defaults\nseed = 99\nworkers = 2\n")

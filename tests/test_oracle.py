@@ -5,9 +5,11 @@ import pytest
 
 from meandric.analysis import disjoint_moment_term, shape_constants
 from meandric.combinatorics import catalan
-from meandric.errors import CapExceededError
+from meandric import oracle
+from meandric.errors import CapExceededError, OracleInvariantError
 from meandric.meanders import count_shape, enumerate_shapes, simple_loop
 from meandric.oracle import (
+    MAX_MASK_WIDTH,
     block_spectrum,
     closed_form_pair_probability,
     distribution_csv,
@@ -48,6 +50,46 @@ def test_distribution_against_tracing(weak_l5):
         for system in enumerate_systems(n):
             brute[count_shape(system, shape)] += 1
         assert dict(brute) == exact_distribution(n, shape)
+
+
+def _mask_pair_distribution(n, shape):
+    """The distribution as the product over all (upper, lower) mask pairs."""
+    up, lo = (Counter(masks.tolist()) for masks in oracle._occurrence_masks(n, shape))
+    dist = Counter()
+    for up_mask, up_count in up.items():
+        for lo_mask, lo_count in lo.items():
+            dist[(up_mask & lo_mask).bit_count()] += up_count * lo_count
+    return dict(dist)
+
+
+def test_distribution_against_mask_pairs(weak_l5, strong_l6):
+    for shape in enumerate_shapes(2) + [weak_l5, strong_l6]:
+        assert exact_distribution(8, shape) == _mask_pair_distribution(8, shape)
+
+
+def test_popcounts():
+    assert oracle._popcounts(10).tolist() == [bin(x).count("1") for x in range(1 << 10)]
+
+
+def test_mask_width_cap(loop1):
+    # n=12 is the largest simple-loop size within the width limit; n=13
+    # is refused before any matching is enumerated.
+    assert 2 * 12 - 1 == MAX_MASK_WIDTH
+    with pytest.raises(CapExceededError, match="2\\*\\*25 position sets"):
+        exact_distribution(13, loop1, size_cap=13)
+    with pytest.raises(CapExceededError):
+        block_spectrum(13, 2, loop1, size_cap=13)
+    with pytest.raises(CapExceededError):
+        exact_pair_probability(13, 3, loop1, size_cap=13)
+
+
+def test_invariant_violation_raises(loop1, monkeypatch):
+    up, lo = oracle._superset_sums(4, loop1)
+    lo = lo.copy()
+    lo[0] += 1  # one lower matching too many
+    monkeypatch.setattr(oracle, "_superset_sums", lambda n, shape: (up, lo))
+    with pytest.raises(OracleInvariantError, match="not a partition"):
+        exact_distribution(4, loop1)
 
 
 def test_distribution_csv(loop1):
