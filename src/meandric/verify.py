@@ -126,14 +126,15 @@ def check_first_moment_all_shapes(n_max: int = 7) -> tuple[bool, str]:
     return True, f"{cases} first-moment identities"
 
 
-def check_weak_shape_structure(n: int = 10) -> tuple[bool, str]:
-    """The weak example shape: classified weak with offset 7; at size n
+def check_weak_shape_structure() -> tuple[bool, str]:
+    """The weak example shape: classified weak with offset 7; at n=10
     its pair probability at offset 7 is positive and equals the closed
     form exactly (the equality is enforced inside exact_pair_probability);
     the enumerated second moment respects the disjoint-tuple lower bound;
     and the block spectrum sums to the moment.  n=10 is the first size
     where two disjoint copies fit, so the bound is positive there
     (1/35263202 against the moment 129/141052808); at n=8 it is 0."""
+    n = 10
     shape = parse_shape(WEAK_L5)
     c = shape_constants(shape)
     if c.is_strong or [o.offset for o in c.overlaps] != [7]:

@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -52,19 +53,33 @@ def test_distribution_against_tracing(weak_l5):
         assert dict(brute) == exact_distribution(n, shape)
 
 
-def _mask_pair_distribution(n, shape):
-    """The distribution as the product over all (upper, lower) mask pairs."""
+def _mask_pair_reference(n, shape):
+    """The distribution and the block spectra for r = 1..3 (as counts of
+    systems), by the product over all (upper, lower) mask pairs and a loop
+    over the r-subsets of each joint mask."""
     up, lo = (Counter(masks.tolist()) for masks in oracle._occurrence_masks(n, shape))
-    dist = Counter()
+    joint = Counter()
     for up_mask, up_count in up.items():
         for lo_mask, lo_count in lo.items():
-            dist[(up_mask & lo_mask).bit_count()] += up_count * lo_count
-    return dict(dist)
+            joint[up_mask & lo_mask] += up_count * lo_count
+    dist, spectra = Counter(), {r: Counter() for r in (1, 2, 3)}
+    for mask, weight in joint.items():
+        positions = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        dist[len(positions)] += weight
+        for r in (1, 2, 3):
+            for subset in combinations(positions, r):
+                gaps = [b - a for a, b in zip(subset, subset[1:])]
+                spectra[r][1 + sum(g >= 2 * shape.half_length for g in gaps)] += weight
+    return dict(dist), spectra
 
 
-def test_distribution_against_mask_pairs(weak_l5, strong_l6):
-    for shape in enumerate_shapes(2) + [weak_l5, strong_l6]:
-        assert exact_distribution(8, shape) == _mask_pair_distribution(8, shape)
+def test_oracle_against_mask_pairs(weak_l5, strong_l6):
+    for shape in enumerate_shapes(1) + enumerate_shapes(2) + [weak_l5, strong_l6]:
+        dist, spectra = _mask_pair_reference(8, shape)
+        assert exact_distribution(8, shape) == dist
+        for r in (1, 2, 3):
+            expected = {u: Fraction(w, catalan(8) ** 2) for u, w in spectra[r].items()}
+            assert block_spectrum(8, r, shape) == expected
 
 
 def test_popcounts():
