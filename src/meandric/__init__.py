@@ -30,6 +30,7 @@ from .errors import (
     InvalidShapeError,
     MeandricError,
     OracleInvariantError,
+    ShapeInvariantError,
     WeakShapeError,
 )
 from .meanders import (

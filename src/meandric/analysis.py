@@ -33,7 +33,7 @@ from numbers import Rational
 from typing import Sequence, Union
 
 from .combinatorics import catalan, choose, log_catalan
-from .errors import InvalidShapeError, WeakShapeError
+from .errors import InvalidShapeError, ShapeInvariantError, WeakShapeError
 from .meanders import Shape, arcs_noncrossing, format_shape
 
 __all__ = [
@@ -282,8 +282,16 @@ def shape_constants(shape: Shape) -> ShapeConstants:
     # Structural guarantees: the unbounded faces cannot exhaust the base,
     # and the face weight is dominated by the normalizer.
     ell, weight = constants.half_length, constants.face_weight
-    assert constants.open_pairs_upper + constants.open_pairs_lower <= ell - 1
-    assert weight * (4 * ell - 1) < 4 ** constants.denominator_power
+    if constants.open_pairs_upper + constants.open_pairs_lower > ell - 1:
+        raise ShapeInvariantError(
+            f"shape {format_shape(shape)}: {constants.open_pairs_upper} + "
+            f"{constants.open_pairs_lower} open pairs exceed half-length - 1 = {ell - 1}"
+        )
+    if weight * (4 * ell - 1) >= 4**constants.denominator_power:
+        raise ShapeInvariantError(
+            f"shape {format_shape(shape)}: face weight {weight} times {4 * ell - 1} "
+            f"is not below 4**{constants.denominator_power}"
+        )
     return constants
 
 
@@ -434,7 +442,11 @@ def clt_parameters(shape: Shape) -> CltParameters:
     mean = 2 * scale
     corr = sum((o.correction for o in c.overlaps), Fraction(0))
     variance = mean * (1 + scale * (1 - 4 * c.half_length + 2 * corr))
-    assert mean > 0 and variance > 0
+    if mean <= 0 or variance <= 0:
+        raise ShapeInvariantError(
+            f"shape {format_shape(shape)}: CLT mean {mean} and variance {variance} "
+            "must both be positive"
+        )
     return CltParameters(mean=mean, variance=variance)
 
 

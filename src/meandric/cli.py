@@ -12,7 +12,8 @@ version, and the SHA-256 of the canonical payload encoding, which is enough
 to reproduce the payload byte for byte.
 
 Exit codes: 0 success, 2 statistical gate failure, 3 invariant violation,
-4 usage error.
+4 usage error or refused input (a weak shape's closed form, a size above a
+cap).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .analysis import (
     log_factorial_moment_asymptotic,
     shape_constants,
 )
-from .errors import MeandricError, WeakShapeError
+from .errors import CapExceededError, MeandricError, WeakShapeError
 from .meanders import enumerate_shapes, format_shape, parse_shape
 from .oracle import moment_report
 from .sampling import (
@@ -55,6 +56,9 @@ EXIT_INVARIANT = 3
 EXIT_USAGE = 4
 
 ENV_WORKERS = "MEANDRIC_WORKERS"
+
+# The flag that sets each library cap a CapExceededError can name.
+_CAP_FLAGS = {"size_cap": "--size-cap", "max_half_length": "--max-half-length"}
 
 
 def payload_schema(subcommand: str) -> dict:
@@ -95,10 +99,19 @@ def _emit(subcommand: str, parameters: dict, payload, out_path: str | None) -> N
     }
     text = json.dumps({"manifest": manifest, "payload": payload}, indent=2, sort_keys=True)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_output(out_path, text + "\n")
     else:
         print(text)
+
+
+def _write_output(path: str, text: str) -> None:
+    """Write one output file; a path that cannot be written to (a
+    directory, a missing folder, no permission) is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _read_config(path: str | None) -> dict[str, str]:
@@ -150,6 +163,8 @@ def _shapes_payload(params: dict) -> dict:
             "ell": shape.half_length,
             "supportSize": len(shape.support),
         }
+    if params["halfLength"] < 1:
+        raise UsageError(f"half-length must be >= 1, got {params['halfLength']}")
     shapes = enumerate_shapes(params["halfLength"], max_half_length=params["maxHalfLength"])
     return {
         "ell": params["halfLength"],
@@ -289,8 +304,7 @@ def _cmd_moments(args, config) -> int:
             shape = parse_shape(args.shape)
             distribution = exact_distribution(args.n, shape, size_cap=args.size_cap)
         text = distribution_csv(distribution)
-        with open(args.distribution_csv, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_output(args.distribution_csv, text)
         params["distributionCsvSha256"] = hashlib.sha256(text.encode()).hexdigest()
     _emit("moments", params, payload, args.out)
     return EXIT_OK
@@ -311,8 +325,7 @@ def _cmd_sample(args, config) -> int:
     payload, gates_ok = _sample_payload(params, summarize_samples(cfg, xs))
     if args.csv:
         text = samples_csv(xs)
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_output(args.csv, text)
         params["csvSha256"] = hashlib.sha256(text.encode()).hexdigest()
     _emit("sample", params, payload, args.out)
     return EXIT_OK if gates_ok else EXIT_GATE
@@ -334,12 +347,23 @@ def _cmd_verify(args, config) -> int:
 
 def _cmd_replay(args, config) -> int:
     with open(args.manifest, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    manifest = doc.get("manifest", doc)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise UsageError(f"{args.manifest} is not a JSON output: {exc}") from None
+    manifest = doc.get("manifest", doc) if isinstance(doc, dict) else None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("parameters"), dict):
+        raise UsageError(f"{args.manifest} holds no manifest with parameters")
+    for key in ("subcommand", "payloadSha256"):
+        if key not in manifest:
+            raise UsageError(f"{args.manifest}: manifest has no {key!r}")
     sub = manifest["subcommand"]
     if sub not in _REPLAYERS:
         raise UsageError(f"cannot replay subcommand {sub!r}")
-    rebuilt = _REPLAYERS[sub](manifest["parameters"])
+    try:
+        rebuilt = _REPLAYERS[sub](manifest["parameters"])
+    except KeyError as exc:
+        raise UsageError(f"{args.manifest}: {sub} parameters have no {exc}") from None
     digest = hashlib.sha256(_canonical(rebuilt)).hexdigest()
     ok = digest == manifest["payloadSha256"]
     payload = {
@@ -432,6 +456,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except WeakShapeError as exc:
         print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except CapExceededError as exc:
+        flag = _CAP_FLAGS.get(exc.override)
+        hint = f"; pass {flag} to override" if flag else ""
+        print(f"refused: {exc.reason}{hint}", file=sys.stderr)
         return EXIT_USAGE
     except MeandricError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -7,6 +7,11 @@ elementary encodings used everywhere else in the package: Dyck words
 functions are the log-scale evaluators, which exist because quantities
 such as ``catalan(10**6)`` do not fit in any fixed-width type.
 
+Enumeration is one numpy kernel: all Dyck words of a size are grown as
+bit codes, and :func:`_stack_pairing`, shared with the sampler, pairs
+their steps into a ``catalan(n) x 2n`` partner matrix.  The public
+generators yield objects built from its rows.
+
 Vertices are 1-based throughout the package.
 """
 
@@ -15,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import InvalidDyckWordError, InvalidMatchingError
 
@@ -118,25 +125,37 @@ class DyckWord:
 def enumerate_dyck_words(n: int) -> Iterator[DyckWord]:
     """All Dyck words with ``n`` up-steps, in ascending lexicographic order
     with ``+1`` ordered before ``-1`` (so the fully nested word comes first
-    and the alternating word last)."""
+    and the alternating word last).
+
+    The words are built all at once by :func:`_dyck_walks`, which takes
+    O(catalan(n) * n) memory before the first word is yielded; callers
+    enumerate small sizes only (n <= 8 in the tests)."""
+    for steps in np.where(_dyck_walks(n)[:, :-1], 1, -1).tolist():
+        yield DyckWord(tuple(steps))
+
+
+def _dyck_walks(n: int) -> np.ndarray:
+    """Every Dyck word with ``n`` up-steps as one bool row (True for an
+    up-step), in :func:`enumerate_dyck_words` order, followed by one extra
+    down-step column.
+
+    The words grow one step at a time as int64 codes, bit t set for an
+    up-step at t; every prefix spawns its up child, then its down child,
+    which keeps the prefixes in lexicographic order level by level."""
     if n < 0:
         raise ValueError(f"enumerate_dyck_words undefined for n={n}")
-    buf: list[int] = []
-
-    def rec(ups_left: int, height: int) -> Iterator[DyckWord]:
-        if ups_left == 0 and height == 0:
-            yield DyckWord(tuple(buf))
-            return
-        if ups_left > 0:
-            buf.append(1)
-            yield from rec(ups_left - 1, height + 1)
-            buf.pop()
-        if height > 0:
-            buf.append(-1)
-            yield from rec(ups_left, height - 1)
-            buf.pop()
-
-    yield from rec(n, 0)
+    codes = np.zeros(1, dtype=np.int64)
+    ups = np.zeros(1, dtype=np.int64)
+    height = np.zeros(1, dtype=np.int64)
+    for t in range(2 * n):
+        parent, down = np.nonzero(np.stack([ups < n, height > 0], 1))
+        up = 1 - down
+        codes = codes[parent] | up << t
+        ups = ups[parent] + up
+        height = height[parent] + 2 * up - 1
+    walks = np.zeros((codes.size, 2 * n + 1), dtype=bool)
+    walks[:, :-1] = codes[:, None] >> np.arange(2 * n) & 1
+    return walks
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +258,54 @@ def matching_to_dyck(matching: NonCrossingMatching) -> DyckWord:
 def enumerate_matchings(n: int) -> Iterator[NonCrossingMatching]:
     """All non-crossing matchings of ``[2n]``, exactly once each, in the
     order induced by :func:`enumerate_dyck_words`.  The count is
-    ``catalan(n)``."""
-    for word in enumerate_dyck_words(n):
-        yield dyck_to_matching(word)
+    ``catalan(n)``.
+
+    Like the words, the matchings come from the whole
+    :func:`_partner_matrix` at once: O(catalan(n) * n) memory, meant for
+    small n (n <= 8 in the tests, the shape half-length in
+    ``enumerate_shapes``, n <= 5 for the sampler's uniformity check)."""
+    for row in (_partner_matrix(n) + 1).tolist():
+        yield NonCrossingMatching((0, *row))
+
+
+def _partner_matrix(n: int) -> np.ndarray:
+    """0-based partners of every non-crossing matching of ``[2n]``, one
+    ``catalan(n) x 2n`` row each, in :func:`enumerate_matchings` order.
+
+    A Dyck word followed by one down-step has its unique first minimum at
+    that step, so :func:`_stack_pairing` keeps the walk unrotated and
+    pairs the word's steps by the stack bijection."""
+    return _stack_pairing(_dyck_walks(n))
+
+
+def _stack_pairing(up: np.ndarray) -> np.ndarray:
+    """Partner rows of the matchings made from rows of n up-steps (True)
+    and n + 1 down-steps.
+
+    Each walk w is rotated to start just after its first minimum p, its
+    final down-step w[p] is dropped, and the stack pairing matches the
+    steps of each depth in alternation, left to right.  Neither step moves
+    the walk: step t of w has depth ``D[t] = P[t] - P[p] + [w[t] down] -
+    [t <= p]`` in the rotated path, P being the prefix sums of w, so a
+    stable sort by ``2 D[t] + [t <= p]``, which is ``2 (P[t] + [w[t] down])
+    - [t <= p]`` up to a constant, lists the steps depth by depth in rotated
+    order.  Only w[p] has D = 0, so it sorts first.  The keys lie in
+    [-2n - 1, 2n], 16-bit while they fit, which numpy sorts by radix.
+    """
+    rows, width = up.shape
+    dtype = np.int16 if width < 1 << 15 else np.int32
+    ups = np.add.accumulate(up, axis=1, dtype=dtype)
+    height = 2 * ups - np.arange(1, width + 1, dtype=dtype)  # P
+    pivot = height.argmin(axis=1)[:, None]  # p
+    key = height + ~up
+    key *= 2
+    key -= np.arange(width) <= pivot
+    order = np.argsort(key, axis=1, kind="stable")[:, 1:]
+    order -= pivot + 1  # positions in the rotated path
+    order += width * (order < 0)
+    partner = np.empty((rows, width - 1), dtype=np.int64)
+    r = np.arange(rows)[:, None]
+    opens, closes = order[:, 0::2], order[:, 1::2]
+    partner[r, opens] = closes
+    partner[r, closes] = opens
+    return partner

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+from __future__ import annotations
+
 
 class MeandricError(Exception):
     """Base class for all errors raised by this package."""
@@ -28,11 +30,25 @@ class WeakShapeError(MeandricError, ValueError):
 
 
 class CapExceededError(MeandricError, ValueError):
-    """Requested problem size exceeds the configured safety cap."""
+    """Requested problem size exceeds the configured safety cap.
+
+    ``override`` names the keyword argument that raises the cap, or is
+    None when the size is beyond what any setting allows; the message then
+    ends with how to pass it."""
+
+    def __init__(self, reason: str, override: str | None = None) -> None:
+        super().__init__(reason if override is None else f"{reason}; pass {override} to override")
+        self.reason = reason
+        self.override = override
 
 
 class FormulaMismatchError(MeandricError):
     """Enumeration and closed form disagree where they must agree exactly."""
+
+
+class ShapeInvariantError(MeandricError):
+    """The placement constants computed for a valid shape violate a bound
+    they hold by construction."""
 
 
 class OracleInvariantError(MeandricError):

@@ -315,7 +315,7 @@ def enumerate_shapes(ell: int, max_half_length: int = DEFAULT_SHAPE_CAP) -> list
         raise ValueError(f"half-length must be >= 1, got {ell}")
     if ell > max_half_length:
         raise CapExceededError(
-            f"half-length {ell} above cap {max_half_length}; raise max_half_length to override"
+            f"half-length {ell} above cap {max_half_length}", override="max_half_length"
         )
     out = []
     for support in sorted(_supports(ell)):

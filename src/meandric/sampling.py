@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import chdtrc, ndtr
 
 from .analysis import clt_parameters
-from .combinatorics import NonCrossingMatching, enumerate_matchings
+from .combinatorics import NonCrossingMatching, _stack_pairing, enumerate_matchings
 from .errors import MeandricError
 from .meanders import MeandricSystem, Shape, arcs_at, format_shape
 
@@ -123,39 +123,6 @@ def _partner_rows(n: int, seed: int, stream: int, start: int, stop: int) -> np.n
         philox.bitgen.state = philox.fresh
         philox.shuffle(row)
     return _stack_pairing(perm < n)
-
-
-def _stack_pairing(up: np.ndarray) -> np.ndarray:
-    """Partner rows of the matchings made from rows of n up-steps (True)
-    and n + 1 down-steps.
-
-    Each walk w is rotated to start just after its first minimum p, its
-    final down-step w[p] is dropped, and the stack pairing matches the
-    steps of each depth in alternation, left to right.  Neither step moves
-    the walk: step t of w has depth ``D[t] = P[t] - P[p] + [w[t] down] -
-    [t <= p]`` in the rotated path, P being the prefix sums of w, so a
-    stable sort by ``2 D[t] + [t <= p]``, which is ``2 (P[t] + [w[t] down])
-    - [t <= p]`` up to a constant, lists the steps depth by depth in rotated
-    order.  Only w[p] has D = 0, so it sorts first.  The keys lie in
-    [-2n - 1, 2n], 16-bit while they fit, which numpy sorts by radix.
-    """
-    rows, width = up.shape
-    dtype = np.int16 if width < 1 << 15 else np.int32
-    ups = np.add.accumulate(up, axis=1, dtype=dtype)
-    height = 2 * ups - np.arange(1, width + 1, dtype=dtype)  # P
-    pivot = height.argmin(axis=1)[:, None]  # p
-    key = height + ~up
-    key *= 2
-    key -= np.arange(width) <= pivot
-    order = np.argsort(key, axis=1, kind="stable")[:, 1:]
-    order -= pivot + 1  # positions in the rotated path
-    order += width * (order < 0)
-    partner = np.empty((rows, width - 1), dtype=np.int64)
-    r = np.arange(rows)[:, None]
-    opens, closes = order[:, 0::2], order[:, 1::2]
-    partner[r, opens] = closes
-    partner[r, closes] = opens
-    return partner
 
 
 def sample_matching(n: int, position: int, seed: int, stream: int = UPPER_STREAM) -> NonCrossingMatching:
@@ -327,7 +294,15 @@ def run_experiment(cfg: ExperimentConfig, ad_level: float = 0.01) -> SampleSumma
     split into fixed-size position chunks merged in position order, and
     statistics come from exact integer accumulators.
     """
+    _check_ad_level(ad_level)
     return summarize_samples(cfg, samples_array(cfg), ad_level)
+
+
+def _check_ad_level(ad_level: float) -> None:
+    if ad_level not in AD_CRITICAL_VALUES:
+        raise ValueError(
+            f"ad_level must be one of {sorted(AD_CRITICAL_VALUES)}, got {ad_level!r}"
+        )
 
 
 def summarize_samples(
@@ -335,6 +310,7 @@ def summarize_samples(
 ) -> SampleSummary:
     """Summary of the shape counts ``samples_array(cfg)`` against the CLT
     prediction, for callers that also keep the counts."""
+    _check_ad_level(ad_level)
     values, counts = np.unique(xs, return_counts=True)
     histogram = tuple((int(v), int(c)) for v, c in zip(values, counts))
     total = cfg.sample_count

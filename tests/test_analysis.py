@@ -1,8 +1,10 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
+from meandric import analysis
 from meandric.analysis import (
     clt_hypothesis_check,
     clt_parameters,
@@ -17,7 +19,7 @@ from meandric.analysis import (
     tightness_profile,
 )
 from meandric.combinatorics import catalan, falling_factorial
-from meandric.errors import InvalidShapeError, WeakShapeError
+from meandric.errors import InvalidShapeError, ShapeInvariantError, WeakShapeError
 from meandric.meanders import enumerate_shapes, simple_loop
 
 
@@ -98,6 +100,32 @@ def test_weak_l5_constants(weak_l5):
     assert info.face_weight == 1
     assert (info.open_free_upper, info.open_free_lower) == (2, 2)
     assert info.correction == 16
+
+
+# shape_constants is cached, so the invariant tests call the uncached
+# function under __wrapped__.
+
+
+def test_open_pairs_bound_is_checked(loop1, monkeypatch):
+    decomp = face_decomposition(loop1)
+    widened = dataclasses.replace(decomp, open_upper=decomp.open_upper + 2)
+    monkeypatch.setattr(analysis, "face_decomposition", lambda shape: widened)
+    with pytest.raises(ShapeInvariantError, match="1 \\+ 0 open pairs exceed half-length - 1 = 0"):
+        shape_constants.__wrapped__(loop1)
+
+
+def test_face_weight_bound_is_checked(loop1, monkeypatch):
+    # The simple loop's normalizer is 4**2 = 16; a face weight of 6 gives 18.
+    monkeypatch.setattr(analysis, "_face_weight", lambda decomp: 6)
+    with pytest.raises(ShapeInvariantError, match="face weight 6 times 3 is not below 4\\*\\*2"):
+        shape_constants.__wrapped__(loop1)
+
+
+def test_clt_positivity_is_checked(loop1, monkeypatch):
+    empty = dataclasses.replace(shape_constants(loop1), face_weight=0)
+    monkeypatch.setattr(analysis, "shape_constants", lambda shape: empty)
+    with pytest.raises(ShapeInvariantError, match="must both be positive"):
+        clt_parameters(loop1)
 
 
 def test_all_half_length_2_shapes_are_strong():

@@ -257,6 +257,97 @@ def test_moments_out_of_range_is_usage_error(capsys, mode, n, r, message):
     assert err == f"usage error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["moments", "--n", "9", "--r", "2", "--shape", LOOP],
+            "size 9 above cap 8 (23639044 systems); pass --size-cap to override",
+        ),
+        (
+            ["moments", "--mode", "formula", "--n", "9", "--r", "2", "--shape", LOOP,
+             "--distribution-csv", "dist.csv"],
+            "size 9 above cap 8 (23639044 systems); pass --size-cap to override",
+        ),
+        (
+            ["moments", "--n", "13", "--r", "2", "--shape", LOOP, "--size-cap", "13"],
+            "size 13 needs 2**25 position sets for a half-length-1 shape; "
+            "the oracle stops at 2**23",
+        ),
+        (
+            ["shapes", "--half-length", "6"],
+            "half-length 6 above cap 5; pass --max-half-length to override",
+        ),
+    ],
+    ids=["size-cap", "size-cap-csv-only", "mask-width", "max-half-length"],
+)
+def test_cap_exceeded_is_refused(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"refused: {message}\n"
+    assert not (tmp_path / "dist.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["constants", "--shape", LOOP, "--out", "."], "cannot write .: Is a directory"),
+        (
+            ["shapes", "--half-length", "1", "--out", "missing/out.json"],
+            "cannot write missing/out.json: No such file or directory",
+        ),
+        (
+            ["moments", "--n", "3", "--r", "1", "--shape", LOOP, "--distribution-csv", "."],
+            "cannot write .: Is a directory",
+        ),
+        (
+            ["sample", "--n", "5", "--samples", "3", "--shape", LOOP, "--seed", "0", "--csv", "."],
+            "cannot write .: Is a directory",
+        ),
+        (["replay", "empty.json"], "empty.json holds no manifest with parameters"),
+        (["replay", "list.json"], "list.json holds no manifest with parameters"),
+        (
+            ["replay", "text.txt"],
+            "text.txt is not a JSON output: Expecting value: line 1 column 1 (char 0)",
+        ),
+        (["replay", "no-digest.json"], "no-digest.json: manifest has no 'payloadSha256'"),
+        (["replay", "no-shape.json"], "no-shape.json: moments parameters have no 'shape'"),
+        (["replay", "absent.json"], "[Errno 2] No such file or directory: 'absent.json'"),
+        (["shapes", "--half-length", "0"], "half-length must be >= 1, got 0"),
+    ],
+    ids=[
+        "out-dir",
+        "out-missing-folder",
+        "distribution-csv-dir",
+        "csv-dir",
+        "replay-empty-manifest",
+        "replay-not-object",
+        "replay-not-json",
+        "replay-no-digest",
+        "replay-no-parameter",
+        "replay-absent",
+        "shapes-half-length-0",
+    ],
+)
+def test_bad_path_or_input_is_usage_error(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.json").write_text('{"manifest": {}}')
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "text.txt").write_text("not json")
+    (tmp_path / "no-digest.json").write_text(
+        json.dumps({"manifest": {"subcommand": "shapes", "parameters": {}}})
+    )
+    (tmp_path / "no-shape.json").write_text(
+        json.dumps({"subcommand": "moments", "parameters": {"n": 3}, "payloadSha256": "0"})
+    )
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"usage error: {message}\n"
+
+
 def test_config_file_and_env_workers(capsys, tmp_path, monkeypatch):
     config = tmp_path / "meandric.cfg"
     config.write_text("# defaults\nseed = 99\nworkers = 2\n")

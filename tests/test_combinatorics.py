@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from meandric.combinatorics import (
     DyckWord,
     NonCrossingMatching,
+    _partner_matrix,
     catalan,
     dyck_to_matching,
     enumerate_dyck_words,
@@ -92,6 +94,29 @@ def test_enumeration_counts_and_first_word():
     assert words[0].to_text() == "UUUDDD"
     assert words[-1].to_text() == "UDUDUD"
     assert words == sorted(words, key=lambda w: w.steps, reverse=True)
+
+
+def _brute_force_words(n):
+    """Dyck words with n up-steps, filtered from all 2**(2n) step sequences
+    taken in lexicographic order with +1 before -1."""
+    words = []
+    for steps in itertools.product((1, -1), repeat=2 * n):
+        heights = list(itertools.accumulate(steps, initial=0))
+        if min(heights) >= 0 and heights[-1] == 0:
+            words.append(DyckWord(steps))
+    return words
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_enumeration_matches_brute_force(n):
+    words = _brute_force_words(n)
+    matchings = [dyck_to_matching(w) for w in words]
+    assert len(words) == catalan(n)
+    assert list(enumerate_dyck_words(n)) == words
+    assert list(enumerate_matchings(n)) == matchings
+    partners = _partner_matrix(n)
+    assert partners.shape == (catalan(n), 2 * n)
+    assert partners.tolist() == [[v - 1 for v in m.partner[1:]] for m in matchings]
 
 
 def test_matching_round_trip_exhaustive():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from meandric import sampling
 from meandric.combinatorics import NonCrossingMatching, catalan
 from meandric.errors import MeandricError
 from meandric.meanders import MeandricSystem, count_shape, parse_shape, simple_loop
 from meandric.sampling import (
     LOWER_STREAM,
     UPPER_STREAM,
+    AD_CRITICAL_VALUES,
     ExperimentConfig,
     anderson_darling_statistic,
     chi_square_uniformity,
@@ -23,6 +26,7 @@ from meandric.sampling import (
     sample_system,
     samples_array,
     samples_csv,
+    summarize_samples,
 )
 from meandric.sampling import _count_rows, _experiment_chunk, _partner_rows, _stack_pairing
 from meandric.verify import WEAK_L5
@@ -142,6 +146,16 @@ def test_run_experiment_summary(loop1):
     doc = summary.to_json_dict()
     assert doc["samples"] == 3000
     assert doc["adStatistic"] == summary.ad_statistic
+
+
+def test_unknown_ad_level_rejected_up_front(loop1, monkeypatch):
+    cfg = ExperimentConfig(n=10, sample_count=5, shape=loop1, seed=0)
+    monkeypatch.setattr(sampling, "samples_array", lambda cfg: pytest.fail("sampled first"))
+    message = f"ad_level must be one of {sorted(AD_CRITICAL_VALUES)}, got 0.2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_experiment(cfg, ad_level=0.2)
+    with pytest.raises(ValueError, match="ad_level must be one of"):
+        summarize_samples(cfg, np.zeros(5, dtype=np.int64), ad_level=0.2)
 
 
 def test_worker_invariance(loop1):
