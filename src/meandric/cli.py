@@ -12,8 +12,12 @@ version, and the SHA-256 of the canonical payload encoding, which is enough
 to reproduce the payload byte for byte.
 
 Exit codes: 0 success, 2 statistical gate failure, 3 invariant violation,
-4 usage error or refused input (a weak shape's closed form, a size above a
+4 usage error or refused input (shape text that is not a valid shape, a
+shape too large for the size, a weak shape's closed form, a size above a
 cap).
+
+Moments are exact rationals; their log deltas are taken from numerator and
+denominator, so a moment beyond the float range still has a finite one.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 from typing import Sequence
 
 from . import __version__
@@ -36,8 +41,8 @@ from .analysis import (
     log_factorial_moment_asymptotic,
     shape_constants,
 )
-from .errors import CapExceededError, MeandricError, WeakShapeError
-from .meanders import enumerate_shapes, format_shape, parse_shape
+from .errors import CapExceededError, InvalidShapeError, MeandricError, WeakShapeError
+from .meanders import Shape, enumerate_shapes, format_shape, parse_shape
 from .oracle import moment_report
 from .sampling import (
     ExperimentConfig,
@@ -138,6 +143,15 @@ def _as_int(text: str, origin: str) -> int:
         raise UsageError(f"{origin} must be an integer, got {text!r}") from None
 
 
+def _shape(text: str) -> Shape:
+    """The shape given on the command line; text that is not a valid
+    shape is a usage error."""
+    try:
+        return parse_shape(text)
+    except InvalidShapeError as exc:
+        raise UsageError(f"invalid shape: {exc}") from None
+
+
 def _resolve_workers(flag_value: int | None, config: dict[str, str]) -> int:
     if flag_value is not None:
         return flag_value
@@ -156,7 +170,7 @@ def _resolve_workers(flag_value: int | None, config: dict[str, str]) -> int:
 
 def _shapes_payload(params: dict) -> dict:
     if "parse" in params:
-        shape = parse_shape(params["parse"])
+        shape = _shape(params["parse"])
         return {
             "valid": True,
             "shape": format_shape(shape),
@@ -177,13 +191,13 @@ def _shapes_payload(params: dict) -> dict:
 
 
 def _constants_payload(params: dict) -> dict:
-    return constants_report(parse_shape(params["shape"]))
+    return constants_report(_shape(params["shape"]))
 
 
 def _moments_payload(params: dict) -> tuple[dict, dict[int, int] | None]:
     """Moments payload plus the exact count distribution, when the exact
     mode computed one."""
-    shape = parse_shape(params["shape"])
+    shape = _shape(params["shape"])
     n, r = params["n"], params["r"]
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
@@ -195,14 +209,14 @@ def _moments_payload(params: dict) -> tuple[dict, dict[int, int] | None]:
             raise UsageError(f"unknown mode {mode!r}")
     constants = shape_constants(shape)
     payload: dict = {"n": n, "r": r, "shape": format_shape(shape), "strong": constants.is_strong}
-    values: dict[str, float] = {}
+    values: dict[str, Fraction] = {}
     distribution = None
     if "exact" in modes:
         report = moment_report(n, r, shape, size_cap=params.get("sizeCap", 8))
         distribution = report.distribution
         payload["exactMoment"] = fraction_json(report.exact_moment)
         payload["lowerBoundRFr"] = fraction_json(report.lower_bound)
-        values["exact"] = float(report.exact_moment)
+        values["exact"] = report.exact_moment
     if "formula" in modes:
         if not constants.is_strong and r >= 2:
             raise WeakShapeError(
@@ -216,23 +230,25 @@ def _moments_payload(params: dict) -> tuple[dict, dict[int, int] | None]:
         else:  # weak with r <= 1: single copies cannot overlap
             formula = math.factorial(r) * disjoint_moment_term(n, r, shape)
         payload["formulaMoment"] = fraction_json(formula)
-        values["formula"] = float(formula)
+        values["formula"] = formula
     if "asymptotic" in modes:
         payload["asymptoticLogMoment"] = log_factorial_moment_asymptotic(n, r, shape)
     if len(values) == 2:
-        payload["deltas"] = {"exactMinusFormula": values["exact"] - values["formula"]}
+        payload["deltas"] = {"exactMinusFormula": float(values["exact"] - values["formula"])}
     if "asymptotic" in modes:
         deltas = payload.setdefault("deltas", {})
         for name in ("exact", "formula"):
-            if values.get(name, 0) > 0:
+            value = values.get(name, 0)
+            if value > 0:  # the log of a rational beyond the float range is still finite
+                log_value = math.log(value.numerator) - math.log(value.denominator)
                 deltas[f"log{name.capitalize()}MinusAsymptotic"] = (
-                    math.log(values[name]) - payload["asymptoticLogMoment"]
+                    log_value - payload["asymptoticLogMoment"]
                 )
     return payload, distribution
 
 
 def _sample_config(params: dict, worker_count: int) -> ExperimentConfig:
-    shape = parse_shape(params["shape"])
+    shape = _shape(params["shape"])
     try:
         return ExperimentConfig(
             n=params["n"],
@@ -241,7 +257,7 @@ def _sample_config(params: dict, worker_count: int) -> ExperimentConfig:
             seed=params["seed"],
             worker_count=worker_count,
         )
-    except ValueError as exc:  # seed, sample count or worker count out of range
+    except (ValueError, MeandricError) as exc:  # a number out of range, or a shape beyond n
         raise UsageError(str(exc)) from None
 
 
@@ -301,7 +317,7 @@ def _cmd_moments(args, config) -> int:
         from .oracle import distribution_csv, exact_distribution
 
         if distribution is None:
-            shape = parse_shape(args.shape)
+            shape = _shape(args.shape)
             distribution = exact_distribution(args.n, shape, size_cap=args.size_cap)
         text = distribution_csv(distribution)
         _write_output(args.distribution_csv, text)

@@ -7,10 +7,13 @@ elementary encodings used everywhere else in the package: Dyck words
 functions are the log-scale evaluators, which exist because quantities
 such as ``catalan(10**6)`` do not fit in any fixed-width type.
 
-Enumeration is one numpy kernel: all Dyck words of a size are grown as
-bit codes, and :func:`_stack_pairing`, shared with the sampler, pairs
-their steps into a ``catalan(n) x 2n`` partner matrix.  The public
-generators yield objects built from its rows.
+Matchings are handled in bulk as rows of Dyck path heights, ``H[t]``
+after t steps.  Enumeration grows all Dyck words of a size as bit codes
+and returns their heights (:func:`_dyck_walks`); the sampler rotates
+random walks into Dyck paths (:func:`_rotated_heights`).  Shape counts
+read the heights directly; :func:`_stack_pairing` turns them into rows of
+partners only where a matching is the result, as in the public generators,
+which yield objects built from those rows.
 
 Vertices are 1-based throughout the package.
 """
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidDyckWordError, InvalidMatchingError
 
@@ -130,14 +134,13 @@ def enumerate_dyck_words(n: int) -> Iterator[DyckWord]:
     The words are built all at once by :func:`_dyck_walks`, which takes
     O(catalan(n) * n) memory before the first word is yielded; callers
     enumerate small sizes only (n <= 8 in the tests)."""
-    for steps in np.where(_dyck_walks(n)[:, :-1], 1, -1).tolist():
+    for steps in np.diff(_dyck_walks(n), axis=1).tolist():
         yield DyckWord(tuple(steps))
 
 
 def _dyck_walks(n: int) -> np.ndarray:
-    """Every Dyck word with ``n`` up-steps as one bool row (True for an
-    up-step), in :func:`enumerate_dyck_words` order, followed by one extra
-    down-step column.
+    """Every Dyck word with ``n`` up-steps as one int16 row of the
+    ``2n + 1`` heights of its path, in :func:`enumerate_dyck_words` order.
 
     The words grow one step at a time as int64 codes, bit t set for an
     up-step at t; every prefix spawns its up child, then its down child,
@@ -153,8 +156,9 @@ def _dyck_walks(n: int) -> np.ndarray:
         codes = codes[parent] | up << t
         ups = ups[parent] + up
         height = height[parent] + 2 * up - 1
-    walks = np.zeros((codes.size, 2 * n + 1), dtype=bool)
-    walks[:, :-1] = codes[:, None] >> np.arange(2 * n) & 1
+    steps = 2 * (codes[:, None] >> np.arange(2 * n) & 1) - 1
+    walks = np.zeros((codes.size, 2 * n + 1), dtype=np.int16)
+    np.add.accumulate(steps, axis=1, dtype=np.int16, out=walks[:, 1:])
     return walks
 
 
@@ -270,39 +274,49 @@ def enumerate_matchings(n: int) -> Iterator[NonCrossingMatching]:
 
 def _partner_matrix(n: int) -> np.ndarray:
     """0-based partners of every non-crossing matching of ``[2n]``, one
-    ``catalan(n) x 2n`` row each, in :func:`enumerate_matchings` order.
-
-    A Dyck word followed by one down-step has its unique first minimum at
-    that step, so :func:`_stack_pairing` keeps the walk unrotated and
-    pairs the word's steps by the stack bijection."""
+    ``catalan(n) x 2n`` row each, in :func:`enumerate_matchings` order."""
     return _stack_pairing(_dyck_walks(n))
 
 
-def _stack_pairing(up: np.ndarray) -> np.ndarray:
-    """Partner rows of the matchings made from rows of n up-steps (True)
-    and n + 1 down-steps.
+def _rotated_heights(up: np.ndarray) -> np.ndarray:
+    """Heights of the Dyck paths made from rows of n up-steps (True) and
+    n + 1 down-steps, one ``2n + 1`` row each, starting and ending at 0.
 
-    Each walk w is rotated to start just after its first minimum p, its
-    final down-step w[p] is dropped, and the stack pairing matches the
-    steps of each depth in alternation, left to right.  Neither step moves
-    the walk: step t of w has depth ``D[t] = P[t] - P[p] + [w[t] down] -
-    [t <= p]`` in the rotated path, P being the prefix sums of w, so a
-    stable sort by ``2 D[t] + [t <= p]``, which is ``2 (P[t] + [w[t] down])
-    - [t <= p]`` up to a constant, lists the steps depth by depth in rotated
-    order.  Only w[p] has D = 0, so it sorts first.  The keys lie in
-    [-2n - 1, 2n], 16-bit while they fit, which numpy sorts by radix.
-    """
+    Each walk w is rotated to start just after the first minimum of its
+    prefix sums P, and its final down-step is dropped (the cycle lemma).
+    P runs over two laps, ``P[t + 2n + 1] = P[t] - 1``, so the rotated path
+    is the window of ``2n + 1`` heights starting at that minimum, less the
+    minimum.  Heights are 16-bit while the walk is shorter than 2**15
+    steps."""
     rows, width = up.shape
     dtype = np.int16 if width < 1 << 15 else np.int32
-    ups = np.add.accumulate(up, axis=1, dtype=dtype)
-    height = 2 * ups - np.arange(1, width + 1, dtype=dtype)  # P
-    pivot = height.argmin(axis=1)[:, None]  # p
-    key = height + ~up
-    key *= 2
-    key -= np.arange(width) <= pivot
-    order = np.argsort(key, axis=1, kind="stable")[:, 1:]
-    order -= pivot + 1  # positions in the rotated path
-    order += width * (order < 0)
+    laps = np.empty((rows, 2 * width), dtype=dtype)
+    laps[:, 0] = 0
+    first = laps[:, 1 : width + 1]
+    np.add.accumulate(up, axis=1, dtype=dtype, out=first)
+    first *= 2
+    first -= np.arange(1, width + 1, dtype=dtype)
+    laps[:, width + 1 :] = laps[:, 1:width] - 1
+    r = np.arange(rows)
+    pivot = laps[:, : width + 1].argmin(axis=1)
+    heights = sliding_window_view(laps, width, axis=1)[r, pivot]
+    heights -= laps[r, pivot][:, None]
+    return heights
+
+
+def _stack_pairing(heights: np.ndarray) -> np.ndarray:
+    """0-based partner rows of the matchings whose Dyck paths have the
+    given rows of heights, ``2n + 1`` each.
+
+    The stack bijection pairs each up-step with the next down-step at its
+    depth, the lower of the two heights it joins.  Up- and down-steps
+    alternate at every depth, so a stable sort by depth lists the steps
+    as pairs, left to right.  Heights of fewer than 2**15 steps are 16-bit,
+    which numpy sorts by radix.
+    """
+    rows, width = heights.shape
+    depth = np.minimum(heights[:, :-1], heights[:, 1:])
+    order = np.argsort(depth, axis=1, kind="stable")
     partner = np.empty((rows, width - 1), dtype=np.int64)
     r = np.arange(rows)[:, None]
     opens, closes = order[:, 0::2], order[:, 1::2]

@@ -7,8 +7,8 @@ disjoint closed loops crossing the axis exactly at ``1..2n``.  Each loop is
 a connected component; its translation-normalized combinatorial type is a
 shape.  This module traces loops, extracts and validates shapes, counts
 occurrences of a given shape (by tracing, and by :func:`arcs_at`, the
-vectorized arc test the sampler and the oracle share), and enumerates all
-shapes of a given half-length.
+vectorized arc test on Dyck path heights that the sampler and the oracle
+share), and enumerates all shapes of a given half-length.
 """
 
 from __future__ import annotations
@@ -251,21 +251,25 @@ def component_shape(component: Component, system: MeandricSystem) -> Shape:
     return Shape(tuple(v + shift for v in component.support), upper, lower)
 
 
-def arcs_at(partners: np.ndarray, arcs: Iterable[tuple[int, int]], width: int) -> np.ndarray:
-    """Where a set of arcs sits in rows of 0-based partners.
+def arcs_at(heights: np.ndarray, arcs: Iterable[tuple[int, int]], width: int) -> np.ndarray:
+    """Where a set of arcs sits in matchings given as rows of Dyck path
+    heights, ``H[t]`` after t steps.
 
     Entry ``(k, i)`` of the ``(rows, width)`` result is True iff row k
-    pairs ``a - 1 + i`` with ``b - 1 + i`` for every arc ``(a, b)``, i.e.
-    contains the arcs translated to start at position ``i + 1``.  With one
-    half of a shape per call, a copy of the shape starts at ``i + 1``
-    exactly where the upper and lower results are both True: the shape's
-    arcs already close a loop, so no stray vertex can join it.
+    pairs vertex ``a + i`` with ``b + i`` for every arc ``(a, b)``, i.e.
+    contains the arcs translated to start at position ``i + 1``.  The
+    stack bijection pairs them iff the path returns to ``H[a - 1 + i]``
+    at ``H[b + i]`` and stays above it in between.  With one half of a
+    shape per call, a copy of the shape starts at ``i + 1`` exactly where
+    the upper and lower results are both True: the shape's arcs already
+    close a loop, so no stray vertex can join it.
     """
-    idx = np.arange(width)
-    (a, b), *rest = arcs
-    hits = partners[:, a - 1 : a - 1 + width] == idx + (b - 1)
-    for a, b in rest:
-        hits &= partners[:, a - 1 : a - 1 + width] == idx + (b - 1)
+    hits = np.ones((len(heights), width), dtype=bool)
+    for a, b in arcs:
+        floor = heights[:, a - 1 : a - 1 + width]
+        hits &= heights[:, b : b + width] == floor
+        for t in range(a, b):
+            hits &= heights[:, t : t + width] > floor
     return hits
 
 

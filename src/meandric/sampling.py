@@ -5,10 +5,14 @@ n + 1 down-steps, rotate it to start just after the first minimum of its
 prefix-sum walk (the unique rotation whose proper prefixes never go
 negative), and drop the final down-step.  The result is an exactly
 uniform balanced nonnegative step sequence, which the stack bijection
-turns into an exactly uniform non-crossing matching.  Everything is
-driven by counter-based (keyed Philox) randomness, so each draw is a pure
-function of ``(seed, stream, position)``: parallel workers need no shared
-state and results cannot depend on scheduling.
+turns into an exactly uniform non-crossing matching.  The block kernel
+keeps each walk as the heights of its rotated path and finds a shape's
+arcs on them (:func:`meandric.meanders.arcs_at`), so counting never pairs
+the steps; only :func:`sample_matching`, whose result is a matching, does.
+
+Everything is driven by counter-based (keyed Philox) randomness, so each
+draw is a pure function of ``(seed, stream, position)``: parallel workers
+need no shared state and results cannot depend on scheduling.
 
 Summary statistics are accumulated in exact integer arithmetic and
 converted to floats once at the end, which makes summaries bit-identical
@@ -28,7 +32,7 @@ import numpy as np
 from scipy.special import chdtrc, ndtr
 
 from .analysis import clt_parameters
-from .combinatorics import NonCrossingMatching, _stack_pairing, enumerate_matchings
+from .combinatorics import NonCrossingMatching, _rotated_heights, _stack_pairing, enumerate_matchings
 from .errors import MeandricError
 from .meanders import MeandricSystem, Shape, arcs_at, format_shape
 
@@ -56,9 +60,10 @@ LOWER_STREAM = 1
 _DITHER_STREAM = 2
 
 _CHUNK = 1024
-# Walk steps per block of draws.  The kernel's working arrays take about 40
-# bytes per step, so a block stays within a core's cache; at n = 2000 this
-# measured faster than blocks four times as large.
+# Walk steps per block of draws.  The kernel's working arrays take about 16
+# bytes per step, half of it the int64 shuffle row, so a block stays within a
+# core's cache; at n = 2000 blocks two to four times as large showed no
+# clear gain.
 _BLOCK_CELLS = 1 << 14
 
 # Critical values for the normality statistic with mean and variance
@@ -104,12 +109,12 @@ def _blocks(n: int, start: int, stop: int) -> Iterator[tuple[int, int]]:
         yield lo, min(lo + step, stop)
 
 
-def _partner_rows(n: int, seed: int, stream: int, start: int, stop: int) -> np.ndarray:
-    """0-based partner rows of the matchings at positions [start, stop) of
-    one (seed, stream): entry i of row k is the vertex paired with vertex i.
+def _height_rows(n: int, seed: int, stream: int, start: int, stop: int) -> np.ndarray:
+    """Dyck path heights of the matchings at positions [start, stop) of one
+    (seed, stream), one ``2n + 1`` row each (see ``_rotated_heights``).
 
-    Each row is ``Generator(Philox(key)).permutation(2n + 1)`` for its
-    position's key, its entries below n marking the up-steps of the walk.
+    Each walk is ``Generator(Philox(key)).permutation(2n + 1)`` for its
+    position's key, its entries below n marking the up-steps.
     """
     high, low = divmod(_philox_key(seed, stream, start), 1 << 64)
     _philox_key(seed, stream, stop - 1)  # low + k must stay a valid key
@@ -122,7 +127,7 @@ def _partner_rows(n: int, seed: int, stream: int, start: int, stop: int) -> np.n
         philox.key[0] = low + k
         philox.bitgen.state = philox.fresh
         philox.shuffle(row)
-    return _stack_pairing(perm < n)
+    return _rotated_heights(perm < n)
 
 
 def sample_matching(n: int, position: int, seed: int, stream: int = UPPER_STREAM) -> NonCrossingMatching:
@@ -130,7 +135,7 @@ def sample_matching(n: int, position: int, seed: int, stream: int = UPPER_STREAM
     (seed, stream, position)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    row = _partner_rows(n, seed, stream, position, position + 1)[0]
+    row = _stack_pairing(_height_rows(n, seed, stream, position, position + 1))[0]
     return NonCrossingMatching((0, *(row + 1).tolist()))
 
 
@@ -145,8 +150,8 @@ def sample_system(n: int, position: int, seed: int) -> MeandricSystem:
 
 def _count_rows(up: np.ndarray, lo: np.ndarray, shape: Shape) -> np.ndarray:
     """Occurrences of the shape in each system of a block, given as rows of
-    0-based upper and lower partners."""
-    width = up.shape[1] - 2 * shape.half_length + 1
+    upper and lower Dyck path heights."""
+    width = up.shape[1] - 2 * shape.half_length
     hits = arcs_at(up, shape.upper, width) & arcs_at(lo, shape.lower, width)
     return np.count_nonzero(hits, axis=1)
 
@@ -187,8 +192,8 @@ def _experiment_chunk(args: tuple[int, Shape, int, int, int]) -> np.ndarray:
     out = np.empty(stop - start, dtype=np.int64)
     for lo, hi in _blocks(n, start, stop):
         out[lo - start : hi - start] = _count_rows(
-            _partner_rows(n, seed, UPPER_STREAM, lo, hi),
-            _partner_rows(n, seed, LOWER_STREAM, lo, hi),
+            _height_rows(n, seed, UPPER_STREAM, lo, hi),
+            _height_rows(n, seed, LOWER_STREAM, lo, hi),
             shape,
         )
     return out
@@ -405,11 +410,10 @@ class UniformityReport:
         }
 
 
-def _dyck_codes(partner: np.ndarray) -> np.ndarray:
-    """One integer per row of 0-based partners: bit i is set when vertex
+def _dyck_codes(up: np.ndarray) -> np.ndarray:
+    """One integer per row of up-step flags: bit i is set when vertex
     i + 1 opens its arc."""
-    size = partner.shape[1]
-    return (partner > np.arange(size)) @ (1 << np.arange(size, dtype=np.int64))
+    return up @ (1 << np.arange(up.shape[1], dtype=np.int64))
 
 
 def _uniformity_chunk(args: tuple[int, int, int, int, np.ndarray]) -> np.ndarray:
@@ -417,7 +421,8 @@ def _uniformity_chunk(args: tuple[int, int, int, int, np.ndarray]) -> np.ndarray
     order = np.argsort(codes)
     out = np.zeros(codes.size, dtype=np.int64)
     for lo, hi in _blocks(n, start, stop):
-        drawn = _dyck_codes(_partner_rows(n, seed, UPPER_STREAM, lo, hi))
+        heights = _height_rows(n, seed, UPPER_STREAM, lo, hi)
+        drawn = _dyck_codes(heights[:, 1:] > heights[:, :-1])
         out += np.bincount(order[np.searchsorted(codes[order], drawn)], minlength=codes.size)
     return out
 
@@ -427,7 +432,8 @@ def matching_uniformity(n: int, draws: int, seed: int, worker_count: int = 1) ->
     ``catalan(n)`` outcomes against exact uniformity."""
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
-    codes = _dyck_codes(np.array([m.partner[1:] for m in enumerate_matchings(n)]) - 1)
+    partners = np.array([m.partner[1:] for m in enumerate_matchings(n)])
+    codes = _dyck_codes(partners > np.arange(1, 2 * n + 1))
     chunk = 50_000
     chunks = [
         (n, seed, start, min(start + chunk, draws), codes) for start in range(0, draws, chunk)

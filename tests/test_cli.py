@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from meandric.cli import EXIT_GATE, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
+from meandric.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, main
 from meandric.verify import WEAK_L5
 
 LOOP = "supp=1,2;up=1-2;lo=1-2"
@@ -41,7 +41,7 @@ def test_shapes_parse_valid(capsys):
 
 def test_shapes_parse_invalid(capsys):
     code, out, err = run_cli(capsys, "shapes", "--parse", "supp=1,3,4,6;up=1-6,3-4;lo=1-6,3-4")
-    assert code == EXIT_INVARIANT
+    assert code == EXIT_USAGE
     assert "odd-gap" in err
 
 
@@ -217,7 +217,7 @@ def test_sample_shape_too_large(capsys):
     code, out, err = run_cli(
         capsys, "sample", "--n", "3", "--samples", "10", "--shape", WEAK_L5, "--seed", "0"
     )
-    assert code == EXIT_INVARIANT
+    assert code == EXIT_USAGE
     assert "cannot fit" in err
 
 
@@ -316,6 +316,15 @@ def test_cap_exceeded_is_refused(capsys, tmp_path, monkeypatch, argv, message):
         (["replay", "no-shape.json"], "no-shape.json: moments parameters have no 'shape'"),
         (["replay", "absent.json"], "[Errno 2] No such file or directory: 'absent.json'"),
         (["shapes", "--half-length", "0"], "half-length must be >= 1, got 0"),
+        (
+            ["constants", "--shape", "supp=1,2;up=1-2"],
+            "invalid shape: grammar: missing fields ['lo']",
+        ),
+        (["shapes", "--parse", "bogus"], "invalid shape: grammar: missing '=' in 'bogus'"),
+        (
+            ["sample", "--n", "3", "--samples", "10", "--shape", WEAK_L5, "--seed", "0"],
+            "shape of half-length 5 cannot fit in a size-3 system",
+        ),
     ],
     ids=[
         "out-dir",
@@ -329,6 +338,9 @@ def test_cap_exceeded_is_refused(capsys, tmp_path, monkeypatch, argv, message):
         "replay-no-parameter",
         "replay-absent",
         "shapes-half-length-0",
+        "constants-bad-shape",
+        "shapes-parse-bogus",
+        "sample-shape-beyond-n",
     ],
 )
 def test_bad_path_or_input_is_usage_error(capsys, tmp_path, monkeypatch, argv, message):
@@ -346,6 +358,20 @@ def test_bad_path_or_input_is_usage_error(capsys, tmp_path, monkeypatch, argv, m
     assert code == EXIT_USAGE
     assert out == ""
     assert err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize("mode", ["formula", "asymptotic", "formula,asymptotic"])
+def test_moment_beyond_float_range(capsys, mode):
+    # The simple loop's 100th factorial moment at n = 10**4 is about
+    # e**712, beyond the largest float; its log delta stays finite.
+    code, out, err = run_cli(capsys, "moments", "--mode", mode, "--n", "10000", "--r", "100",
+                             "--shape", LOOP)
+    assert code == EXIT_OK
+    assert err == ""
+    payload = json.loads(out)["payload"]
+    assert ("formulaMoment" in payload) == ("formula" in mode)
+    if mode == "formula,asymptotic":
+        assert abs(payload["deltas"]["logFormulaMinusAsymptotic"]) < 0.05
 
 
 def test_config_file_and_env_workers(capsys, tmp_path, monkeypatch):

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meandric.combinatorics import NonCrossingMatching
+from meandric.combinatorics import NonCrossingMatching, _dyck_walks, _partner_matrix
 from meandric.errors import CapExceededError, InvalidMatchingError, InvalidShapeError
 from meandric.meanders import (
     Component,
@@ -20,6 +22,7 @@ from meandric.meanders import (
 )
 from meandric.oracle import enumerate_systems
 from meandric.sampling import sample_system
+from meandric.verify import STRONG_L6, WEAK_L5
 
 ADJ4 = NonCrossingMatching.from_text("1-2,3-4")
 NEST4 = NonCrossingMatching.from_text("1-4,2-3")
@@ -33,9 +36,16 @@ def rainbow(n):
     return NonCrossingMatching.from_arcs([(j, 2 * n + 1 - j) for j in range(1, n + 1)])
 
 
+def path_heights(matching):
+    """Dyck path heights of a matching: a vertex that opens its arc is an
+    up-step."""
+    steps = [1 if w > v else -1 for v, w in enumerate(matching.partner) if v]
+    return np.array(list(itertools.accumulate(steps, initial=0)))
+
+
 def kernel_positions(system, shape):
     """Positions where ``arcs_at`` finds both halves of the shape."""
-    up, lo = (np.array(m.partner[1:])[None, :] - 1 for m in (system.upper, system.lower))
+    up, lo = (path_heights(m)[None, :] for m in (system.upper, system.lower))
     width = 2 * system.size - 2 * shape.half_length + 1
     hits = arcs_at(up, shape.upper, width) & arcs_at(lo, shape.lower, width)
     return (np.flatnonzero(hits[0]) + 1).tolist()
@@ -111,6 +121,43 @@ def test_weak_l5_double_occurrence(weak_l5):
     system = MeandricSystem(upper, lower)
     assert count_shape(system, weak_l5) == 2
     assert kernel_positions(system, weak_l5) == traced_positions(system, weak_l5) == [1, 7]
+
+
+def partner_hits(partners, arcs, width):
+    """``arcs_at`` by its definition: rows of 0-based partners that pair
+    ``a - 1 + i`` with ``b - 1 + i`` for every arc."""
+    idx = np.arange(width)
+    hits = np.ones((len(partners), width), dtype=bool)
+    for a, b in arcs:
+        hits &= partners[:, a - 1 : a - 1 + width] == idx + (b - 1)
+    return hits
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_heights_kernel_is_the_partner_test(n):
+    heights, partners = _dyck_walks(n), _partner_matrix(n)
+    shapes = [s for ell in (1, 2, 3) for s in enumerate_shapes(ell)]
+    shapes += [parse_shape(WEAK_L5), parse_shape(STRONG_L6)]
+    for shape in shapes:
+        width = 2 * n - 2 * shape.half_length + 1
+        if width < 1:
+            continue
+        for arcs in (shape.upper, shape.lower):
+            assert np.array_equal(
+                arcs_at(heights, arcs, width), partner_hits(partners, arcs, width)
+            )
+
+
+def test_arc_over_free_vertices_needs_the_path_above():
+    # 1-4 over the free vertices 2 and 3: UDUD returns to height 0 at both
+    # ends of the arc but touches it in between, so 1 pairs with 2, not 4.
+    shape = parse_shape("supp=1,4;up=1-4;lo=1-4")
+    assert not arcs_at(np.array([[0, 1, 0, 1, 0]]), shape.upper, 1).any()
+    assert arcs_at(np.array([[0, 1, 2, 1, 0]]), shape.upper, 1).all()
+    system = MeandricSystem(ADJ4, ADJ4)
+    assert kernel_positions(system, shape) == traced_positions(system, shape) == []
+    system = MeandricSystem(NEST4, NEST4)
+    assert kernel_positions(system, shape) == traced_positions(system, shape) == [1]
 
 
 def test_count_disjoint_simple_loops():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from meandric import sampling
-from meandric.combinatorics import NonCrossingMatching, catalan
+from meandric.combinatorics import NonCrossingMatching, _rotated_heights, _stack_pairing, catalan
 from meandric.errors import MeandricError
 from meandric.meanders import MeandricSystem, count_shape, parse_shape, simple_loop
 from meandric.sampling import (
@@ -28,7 +28,7 @@ from meandric.sampling import (
     samples_csv,
     summarize_samples,
 )
-from meandric.sampling import _count_rows, _experiment_chunk, _partner_rows, _stack_pairing
+from meandric.sampling import _count_rows, _experiment_chunk, _height_rows
 from meandric.verify import WEAK_L5
 
 
@@ -249,6 +249,13 @@ def reference_partner(n, seed, stream, position):
     return partner
 
 
+def path_heights(partner):
+    """Dyck path heights of a matching given as 0-based partners: a
+    vertex that opens its arc is an up-step."""
+    steps = np.where(partner > np.arange(partner.size), 1, -1)
+    return np.concatenate([[0], np.cumsum(steps)])
+
+
 STREAMS = [UPPER_STREAM, LOWER_STREAM]
 seeds = st.integers(0, 2**64 - 1)
 positions = st.integers(0, 2**60 - 8)
@@ -257,11 +264,23 @@ positions = st.integers(0, 2**60 - 8)
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 60), seeds, positions, st.sampled_from(STREAMS), st.integers(1, 6))
 def test_kernel_rows_are_the_stream(n, seed, position, stream, rows):
-    partners = _partner_rows(n, seed, stream, position, position + rows)
+    partners = _stack_pairing(_height_rows(n, seed, stream, position, position + rows))
     assert partners.shape == (rows, 2 * n)
     for k, row in enumerate(partners):
         NonCrossingMatching((0, *(row + 1).tolist()))  # raises unless non-crossing
         assert row.tolist() == reference_partner(n, seed, stream, position + k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 60), seeds, positions, st.sampled_from(STREAMS), st.integers(1, 6))
+def test_kernel_heights_are_dyck_paths_of_the_stream(n, seed, position, stream, rows):
+    heights = _height_rows(n, seed, stream, position, position + rows)
+    assert heights.shape == (rows, 2 * n + 1)
+    assert (heights[:, 0] == 0).all() and (heights[:, -1] == 0).all() and (heights >= 0).all()
+    assert (np.abs(np.diff(heights, axis=1)) == 1).all()
+    for k, row in enumerate(heights):
+        partner = np.array(sample_matching(n, position + k, seed, stream).partner[1:]) - 1
+        assert row.tolist() == path_heights(partner).tolist()
 
 
 @settings(max_examples=40, deadline=None)
@@ -272,13 +291,18 @@ def test_kernel_counts_match_tracing(n, seed, position):
         assert x == count_shape(sample_system(n, position + k, seed), simple_loop())
 
 
-@pytest.mark.parametrize("n", [16383, 16384])  # the widest 16-bit keys, the narrowest 32-bit
+@pytest.mark.parametrize("n", [16383, 16384])  # the longest 16-bit walk, the shortest 32-bit
 def test_stack_pairing_extreme_walks(n):
     # All up-steps first, or all down-steps first: the walk reaches height
-    # n or -(n + 1), the extremes of the key range, and both pair as a rainbow.
+    # n or -(n + 1), the extremes of its prefix sums, and both rotate to
+    # the rainbow's path and pair as a rainbow.
     rainbow = np.arange(2 * n)[::-1]
+    tent = np.minimum(np.arange(2 * n + 1), np.arange(2 * n + 1)[::-1])
     for up in ([True] * n + [False] * (n + 1), [False] * (n + 1) + [True] * n):
-        assert np.array_equal(_stack_pairing(np.array([up]))[0], rainbow)
+        heights = _rotated_heights(np.array([up]))
+        assert heights.dtype == (np.int16 if 2 * n + 1 < 2**15 else np.int32)
+        assert np.array_equal(heights[0], tent)
+        assert np.array_equal(_stack_pairing(heights)[0], rainbow)
 
 
 # Two copies of the weak example at offsets 1 and 7, completed at n=8.
@@ -302,7 +326,9 @@ def test_kernel_counts_weak_shape_match_tracing(n_left, n_right, seed, position)
 
     def planted(stream, arcs):
         left, right = (
-            _partner_rows(n, seed, stream, at, at + 1)[0] if n else np.empty(0, dtype=np.int64)
+            _stack_pairing(_height_rows(n, seed, stream, at, at + 1))[0]
+            if n
+            else np.empty(0, dtype=np.int64)
             for n, at in ((n_left, position), (n_right, position + 1))
         )
         return _with_weak_pair(left, right, arcs)
@@ -311,6 +337,6 @@ def test_kernel_counts_weak_shape_match_tracing(n_left, n_right, seed, position)
     system = MeandricSystem(
         NonCrossingMatching((0, *(up + 1).tolist())), NonCrossingMatching((0, *(lo + 1).tolist()))
     )
-    count = _count_rows(up[None, :], lo[None, :], weak)[0]
+    count = _count_rows(path_heights(up)[None, :], path_heights(lo)[None, :], weak)[0]
     assert count == count_shape(system, weak)
     assert count >= 2
