@@ -19,7 +19,6 @@ from .combinatorics import (
     enumerate_dyck_words,
     enumerate_matchings,
     falling_factorial,
-    log_catalan,
     matching_to_dyck,
 )
 from .errors import (
@@ -54,13 +53,13 @@ from .analysis import (
     ShapeConstants,
     TightnessProfile,
     clt_hypothesis_check,
+    closed_form_pair_probability,
     clt_parameters,
     constants_report,
     disjoint_moment_term,
     face_decomposition,
     factorial_moment_strong,
     log_factorial_moment_asymptotic,
-    log_factorial_moment_strong,
     overlap_scan,
     pair_placement,
     shape_constants,
@@ -69,7 +68,6 @@ from .analysis import (
 from .oracle import (
     MomentReport,
     block_spectrum,
-    closed_form_pair_probability,
     distribution_csv,
     enumerate_systems,
     exact_distribution,

@@ -18,9 +18,12 @@ Everything downstream is built from the per-face free-vertex counts:
   coexist, and each feasible overlap contributes an exact rational
   correction to the variance coefficient of the central limit theorem.
 
+One exact rule, ``_placement_probability``, gives the probability of every
+placement, whether of u disjoint copies or of two overlapping ones.
+
 All shape constants and moment values are exact (int / Fraction); the
-``log_*`` evaluators are floating-point companions for sizes where exact
-integers are impractical.
+only float is :func:`log_factorial_moment_asymptotic`, the large-n form
+the exact moments are compared with.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from functools import lru_cache
 from numbers import Rational
 from typing import Sequence, Union
 
-from .combinatorics import catalan, choose, log_catalan
+from .combinatorics import catalan, choose
 from .errors import InvalidShapeError, ShapeInvariantError, WeakShapeError
 from .meanders import Shape, arcs_noncrossing, format_shape
 
@@ -45,11 +48,11 @@ __all__ = [
     "TightnessProfile",
     "face_decomposition",
     "pair_placement",
+    "closed_form_pair_probability",
     "overlap_scan",
     "shape_constants",
     "disjoint_moment_term",
     "factorial_moment_strong",
-    "log_factorial_moment_strong",
     "log_factorial_moment_asymptotic",
     "clt_parameters",
     "clt_hypothesis_check",
@@ -76,10 +79,6 @@ class FaceDecomposition:
     lower: tuple[tuple[tuple[int, int], int], ...]
     open_upper: int
     open_lower: int
-
-    @property
-    def free_count(self) -> int:
-        return self.open_upper + sum(c for _, c in self.upper)
 
     def bounded_counts(self) -> tuple[int, ...]:
         return tuple(c for _, c in self.upper) + tuple(c for _, c in self.lower)
@@ -201,6 +200,11 @@ class ShapeConstants:
         """The exponent e with 4**e the natural normalizer: 2*ell - c+ - c-."""
         return 2 * self.half_length - self.open_pairs_upper - self.open_pairs_lower
 
+    @property
+    def correction_sum(self) -> Fraction:
+        """Sum of the overlap corrections; 0 for a strong shape."""
+        return sum((o.correction for o in self.overlaps), Fraction(0))
+
 
 def _face_weight(decomp: FaceDecomposition) -> int:
     w = 1
@@ -229,6 +233,23 @@ def pair_placement(shape: Shape, offset: int) -> FaceDecomposition | None:
     if any(count % 2 for count in decomp.bounded_counts()):
         return None
     return decomp
+
+
+def closed_form_pair_probability(n: int, offset: int, shape: Shape) -> Fraction:
+    """Probability that copies sit at positions 1 and ``offset``, from the
+    joint face decomposition: fill the bounded faces (one Catalan factor
+    each) and the two unbounded faces (one Catalan factor each, index
+    shifted by the open free-vertex counts).  Zero when the placement is
+    infeasible or does not fit in ``[2n]``."""
+    base_size = 2 * shape.half_length + offset - 1
+    if base_size > 2 * n:
+        return Fraction(0)
+    decomp = pair_placement(shape, offset)
+    if decomp is None:
+        return Fraction(0)
+    return _placement_probability(
+        n, _face_weight(decomp), base_size, decomp.open_upper, decomp.open_lower
+    )
 
 
 def overlap_scan(shape: Shape) -> tuple[OverlapInfo, ...]:
@@ -315,14 +336,30 @@ def _catalan_quotient(i: int, n: int) -> Fraction:
     return Fraction(num, den) if i > n else Fraction(den, num)
 
 
+def _placement_probability(
+    n: int, weight: int, base_size: int, open_upper: int, open_lower: int
+) -> Fraction:
+    """Probability that a size-n system holds one given placement of
+    copies: ``weight * catalan(i_up) * catalan(i_lo) / catalan(n)**2`` with
+    ``i = n - (base_size - open) // 2`` per half-plane, 0 when an index is
+    negative.  ``weight`` counts the fillings of the bounded faces and the
+    open counts are the raw free-vertex counts of the unbounded faces."""
+    i_up = n - (base_size - open_upper) // 2
+    i_lo = n - (base_size - open_lower) // 2
+    if i_up < 0 or i_lo < 0:
+        return Fraction(0)
+    return weight * _catalan_quotient(i_up, n) * _catalan_quotient(i_lo, n)
+
+
 def disjoint_moment_term(n: int, u: int, shape: Shape) -> Fraction:
     """Contribution of u-tuples of pairwise non-overlapping copies to the
     u-th factorial moment of the shape count in a uniform size-n system,
     divided by u!.
 
-    Exact rational; zero as soon as u copies cannot fit.  Equal to
-    ``placements * W**u * catalan(i_up) * catalan(i_lo) / catalan(n)**2``;
-    the two Catalan quotients are taken as telescoping products, so the
+    Exact rational; zero as soon as u copies cannot fit.  Equal to the
+    number of placements times the probability of one, u copies side by
+    side with weight ``W**u``, base ``2 u ell`` and open counts
+    ``2 u c+-``; the Catalan quotients are telescoping products, so the
     cost stays small for large n and small u.
     """
     if u < 0:
@@ -332,15 +369,10 @@ def disjoint_moment_term(n: int, u: int, shape: Shape) -> Fraction:
     c = shape_constants(shape)
     ell = c.half_length
     placements = choose(2 * n - 2 * u * ell + u, u)
-    i_up = n - u * ell + u * c.open_pairs_upper
-    i_lo = n - u * ell + u * c.open_pairs_lower
-    if placements == 0 or i_up < 0 or i_lo < 0:
+    if placements == 0:
         return Fraction(0)
-    return (
-        placements
-        * c.face_weight**u
-        * _catalan_quotient(i_up, n)
-        * _catalan_quotient(i_lo, n)
+    return placements * _placement_probability(
+        n, c.face_weight**u, 2 * u * ell, 2 * u * c.open_pairs_upper, 2 * u * c.open_pairs_lower
     )
 
 
@@ -364,31 +396,6 @@ def factorial_moment_strong(n: int, r: int, shape: Shape) -> Fraction:
     return math.factorial(r) * disjoint_moment_term(n, r, shape)
 
 
-def log_factorial_moment_strong(n: int, r: int, shape: Shape) -> float:
-    """Natural log of :func:`factorial_moment_strong` evaluated with
-    log-gamma, for sizes where the exact integers are impractical.
-    Relative error of the underlying terms is below 1e-12."""
-    c = shape_constants(shape)
-    if not c.is_strong:
-        raise WeakShapeError("log_factorial_moment_strong needs a strong shape")
-    if r == 0:
-        return 0.0
-    ell = c.half_length
-    slots = 2 * n - 2 * r * ell + r
-    i_up = n - r * ell + r * c.open_pairs_upper
-    i_lo = n - r * ell + r * c.open_pairs_lower
-    if slots < r or i_up < 0 or i_lo < 0:
-        raise ValueError("moment is exactly zero; no finite log")
-    return (
-        math.lgamma(slots + 1)
-        - math.lgamma(slots - r + 1)
-        + r * math.log(c.face_weight)
-        + log_catalan(i_up)
-        + log_catalan(i_lo)
-        - 2 * log_catalan(n)
-    )
-
-
 def log_factorial_moment_asymptotic(n: int, r: int, shape: Shape) -> float:
     """Log of the large-n approximation of the r-th factorial moment.
 
@@ -403,7 +410,7 @@ def log_factorial_moment_asymptotic(n: int, r: int, shape: Shape) -> float:
         return 0.0
     c = shape_constants(shape)
     lead = math.log(2 * n * c.face_weight) - c.denominator_power * math.log(4)
-    corr = sum(o.correction for o in c.overlaps)
+    corr = c.correction_sum
     return r * lead - (r * r / (4 * n)) * (4 * c.half_length - 1) + (r * r / (2 * n)) * float(corr)
 
 
@@ -440,8 +447,7 @@ def clt_parameters(shape: Shape) -> CltParameters:
     c = shape_constants(shape)
     scale = Fraction(c.face_weight, 4**c.denominator_power)
     mean = 2 * scale
-    corr = sum((o.correction for o in c.overlaps), Fraction(0))
-    variance = mean * (1 + scale * (1 - 4 * c.half_length + 2 * corr))
+    variance = mean * (1 + scale * (1 - 4 * c.half_length + 2 * c.correction_sum))
     if mean <= 0 or variance <= 0:
         raise ShapeInvariantError(
             f"shape {format_shape(shape)}: CLT mean {mean} and variance {variance} "
@@ -498,15 +504,12 @@ class TightnessProfile:
     ``B_u = C(r-1, u-1) (2*ell)**(r-u) * disjoint_moment_term(n, u)``.
     ``min_ratio`` is the smallest ``B_{u+1} / B_u``; the tuples with few
     blocks are negligible exactly when this stays large.
-    ``growth_constant`` is the fitted lower bound Q in
-    ``F_{u+1} / F_u >= Q n / u`` over the scanned range.
     """
 
     n: int
     r: int
     terms: tuple[tuple[int, Fraction], ...]
     min_ratio: Fraction | None
-    growth_constant: Fraction | None
 
 
 def tightness_profile(n: int, r: int, shape: Shape) -> TightnessProfile:
@@ -522,16 +525,12 @@ def tightness_profile(n: int, r: int, shape: Shape) -> TightnessProfile:
         for u in range(1, r + 1)
     )
     min_ratio: Fraction | None = None
-    growth: Fraction | None = None
     for u in range(1, r):
         b_u, b_next = terms[u - 1][1], terms[u][1]
         if b_u > 0:
             ratio = b_next / b_u
             min_ratio = ratio if min_ratio is None else min(min_ratio, ratio)
-        if f[u - 1] > 0:
-            q = (f[u] / f[u - 1]) * Fraction(u, n)
-            growth = q if growth is None else min(growth, q)
-    return TightnessProfile(n=n, r=r, terms=terms, min_ratio=min_ratio, growth_constant=growth)
+    return TightnessProfile(n=n, r=r, terms=terms, min_ratio=min_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +541,12 @@ def tightness_profile(n: int, r: int, shape: Shape) -> TightnessProfile:
 def fraction_json(x: Fraction) -> dict[str, str]:
     """Rational as decimal strings, the wire form used by all reports."""
     return {"num": str(x.numerator), "den": str(x.denominator)}
+
+
+def _log_fraction(x: Fraction) -> float:
+    """Natural log of a positive rational, taken from its numerator and
+    denominator, so it stays finite beyond the float range."""
+    return math.log(x.numerator) - math.log(x.denominator)
 
 
 def constants_report(shape: Shape) -> dict:

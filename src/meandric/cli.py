@@ -34,6 +34,7 @@ from typing import Sequence
 
 from . import __version__
 from .analysis import (
+    _log_fraction,
     constants_report,
     disjoint_moment_term,
     factorial_moment_strong,
@@ -119,20 +120,31 @@ def _write_output(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
+def _read_input(path: str) -> str:
+    """Text of one input file; a path that cannot be read (missing, a
+    directory, no permission) or text that is not UTF-8 is a usage error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UsageError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def _read_config(path: str | None) -> dict[str, str]:
     """Key=value config file; '#' starts a comment."""
     if not path:
         return {}
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, eq, value = line.partition("=")
-            if not eq:
-                raise UsageError(f"bad config line {raw.rstrip()!r}")
-            values[key.strip()] = value.strip()
+    for raw in _read_input(path).splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise UsageError(f"bad config line {raw.rstrip()!r}")
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -153,14 +165,17 @@ def _shape(text: str) -> Shape:
 
 
 def _resolve_workers(flag_value: int | None, config: dict[str, str]) -> int:
+    """Worker count from the flag, else the config file, else the
+    environment, else 1; a count below 1 is a usage error."""
     if flag_value is not None:
-        return flag_value
-    if "workers" in config:
-        return _as_int(config["workers"], "config workers")
-    env = os.environ.get(ENV_WORKERS)
-    if env:
-        return _as_int(env, ENV_WORKERS)
-    return 1
+        workers = flag_value
+    elif "workers" in config:
+        workers = _as_int(config["workers"], "config workers")
+    else:
+        workers = _as_int(os.environ.get(ENV_WORKERS) or "1", ENV_WORKERS)
+    if workers < 1:
+        raise UsageError("worker_count must be >= 1")
+    return workers
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +255,8 @@ def _moments_payload(params: dict) -> tuple[dict, dict[int, int] | None]:
         for name in ("exact", "formula"):
             value = values.get(name, 0)
             if value > 0:  # the log of a rational beyond the float range is still finite
-                log_value = math.log(value.numerator) - math.log(value.denominator)
                 deltas[f"log{name.capitalize()}MinusAsymptotic"] = (
-                    log_value - payload["asymptoticLogMoment"]
+                    _log_fraction(value) - payload["asymptoticLogMoment"]
                 )
     return payload, distribution
 
@@ -362,11 +376,10 @@ def _cmd_verify(args, config) -> int:
 
 
 def _cmd_replay(args, config) -> int:
-    with open(args.manifest, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise UsageError(f"{args.manifest} is not a JSON output: {exc}") from None
+    try:
+        doc = json.loads(_read_input(args.manifest))
+    except ValueError as exc:
+        raise UsageError(f"{args.manifest} is not a JSON output: {exc}") from None
     manifest = doc.get("manifest", doc) if isinstance(doc, dict) else None
     if not isinstance(manifest, dict) or not isinstance(manifest.get("parameters"), dict):
         raise UsageError(f"{args.manifest} holds no manifest with parameters")
@@ -481,9 +494,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MeandricError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except FileNotFoundError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

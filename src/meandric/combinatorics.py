@@ -3,9 +3,7 @@
 Catalan numbers, falling factorials, binomial coefficients, and the two
 elementary encodings used everywhere else in the package: Dyck words
 (balanced step sequences) and non-crossing perfect matchings of
-``{1, ..., 2n}``.  All arithmetic here is exact; the only floating point
-functions are the log-scale evaluators, which exist because quantities
-such as ``catalan(10**6)`` do not fit in any fixed-width type.
+``{1, ..., 2n}``.  All arithmetic here is exact.
 
 Matchings are handled in bulk as rows of Dyck path heights, ``H[t]``
 after t steps.  Enumeration grows all Dyck words of a size as bit codes
@@ -31,7 +29,6 @@ from .errors import InvalidDyckWordError, InvalidMatchingError
 
 __all__ = [
     "catalan",
-    "log_catalan",
     "falling_factorial",
     "choose",
     "DyckWord",
@@ -48,17 +45,6 @@ def catalan(n: int) -> int:
     if n < 0:
         raise ValueError(f"catalan undefined for n={n}")
     return math.comb(2 * n, n) // (n + 1)
-
-
-def log_catalan(n: int) -> float:
-    """Natural log of ``catalan(n)`` via log-gamma.
-
-    Accurate to better than 1e-12 relative error; intended for sizes
-    where the exact integer is unusable (n of order 10**6).
-    """
-    if n < 0:
-        raise ValueError(f"catalan undefined for n={n}")
-    return math.lgamma(2 * n + 1) - math.lgamma(n + 1) - math.lgamma(n + 2)
 
 
 def falling_factorial(n: int, k: int) -> int:

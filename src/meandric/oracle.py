@@ -3,7 +3,9 @@
 Every quantity here is obtained by complete enumeration of the
 ``catalan(n)**2`` meandric systems, kept exact end to end; no floating
 point is used in this module.  These values are the reference that the
-closed forms in :mod:`meandric.analysis` are tested against.
+closed forms in :mod:`meandric.analysis` are tested against; the module
+holds no closed form of its own (:func:`exact_pair_probability` checks its
+count against :func:`meandric.analysis.closed_form_pair_probability`).
 
 Performance note: whether a copy of a shape sits at position i factorizes
 into an upper-matching condition and a lower-matching condition.  The
@@ -33,6 +35,7 @@ distinct (upper, lower) mask pairs took 3.7 s at n=9.  Sets of more than
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -41,11 +44,10 @@ from typing import Iterator
 import numpy as np
 
 from .analysis import (
-    _face_weight,
+    closed_form_pair_probability,
     disjoint_moment_term,
     factorial_moment_strong,
     fraction_json,
-    pair_placement,
     shape_constants,
 )
 from .combinatorics import (
@@ -66,7 +68,6 @@ __all__ = [
     "distribution_csv",
     "exact_factorial_moment",
     "exact_pair_probability",
-    "closed_form_pair_probability",
     "block_spectrum",
     "MomentReport",
     "moment_report",
@@ -210,26 +211,6 @@ def exact_factorial_moment(
     return _factorial_moment(exact_distribution(n, shape, size_cap), n, r)
 
 
-def closed_form_pair_probability(n: int, offset: int, shape: Shape) -> Fraction:
-    """Probability that copies sit at positions 1 and ``offset``, from the
-    joint face decomposition: fill the bounded faces (one Catalan factor
-    each) and the two unbounded faces (one Catalan factor each, index
-    shifted by the open free-vertex counts).  Zero when the placement is
-    infeasible or does not fit in ``[2n]``."""
-    ell = shape.half_length
-    base_size = 2 * ell + offset - 1
-    if base_size > 2 * n:
-        return Fraction(0)
-    decomp = pair_placement(shape, offset)
-    if decomp is None:
-        return Fraction(0)
-    i_up = n - (base_size - decomp.open_upper) // 2
-    i_lo = n - (base_size - decomp.open_lower) // 2
-    if i_up < 0 or i_lo < 0:
-        return Fraction(0)
-    return Fraction(_face_weight(decomp) * catalan(i_up) * catalan(i_lo), catalan(n) ** 2)
-
-
 def exact_pair_probability(
     n: int,
     offset: int,
@@ -331,7 +312,7 @@ def moment_report(n: int, r: int, shape: Shape, size_cap: int = DEFAULT_SIZE_CAP
     exact = _factorial_moment(distribution, n, r)
     constants = shape_constants(shape)
     formula = factorial_moment_strong(n, r, shape) if constants.is_strong else None
-    bound = falling_factorial(r, r) * disjoint_moment_term(n, r, shape)
+    bound = math.factorial(r) * disjoint_moment_term(n, r, shape)
     if exact < bound:
         raise FormulaMismatchError(
             f"exact moment {exact} below disjoint-tuple bound {bound} "

@@ -6,6 +6,7 @@ import pytest
 
 from meandric import analysis
 from meandric.analysis import (
+    closed_form_pair_probability,
     clt_hypothesis_check,
     clt_parameters,
     constants_report,
@@ -13,7 +14,6 @@ from meandric.analysis import (
     face_decomposition,
     factorial_moment_strong,
     log_factorial_moment_asymptotic,
-    log_factorial_moment_strong,
     pair_placement,
     shape_constants,
     tightness_profile,
@@ -34,7 +34,6 @@ def all_shapes(ell_max):
 
 def test_simple_loop_faces(loop1):
     decomp = face_decomposition(loop1)
-    assert decomp.free_count == 0
     assert decomp.upper == () and decomp.lower == ()
     assert decomp.open_upper == 0 and decomp.open_lower == 0
 
@@ -227,15 +226,35 @@ def test_factorial_moment_equals_scaled_disjoint_term(strong_l6):
 def test_factorial_moment_rejects_weak(weak_l5):
     with pytest.raises(WeakShapeError):
         factorial_moment_strong(8, 2, weak_l5)
-    with pytest.raises(WeakShapeError):
-        log_factorial_moment_strong(8, 2, weak_l5)
 
 
-def test_log_moment_matches_exact(loop1, strong_l6):
-    for shape, n, r in [(loop1, 2000, 30), (strong_l6, 500, 10)]:
-        exact = factorial_moment_strong(n, r, shape)
-        log_exact = math.log(exact.numerator) - math.log(exact.denominator)
-        assert abs(log_factorial_moment_strong(n, r, shape) - log_exact) < 1e-8
+def test_pair_probability_against_full_catalan(strong_l6, weak_l5):
+    # The reference divides full Catalan numbers: the bounded faces of the
+    # joint placement give one Catalan factor each, and the unbounded ones
+    # one each, with the index shifted by the open free-vertex count.
+    def reference(n, offset, shape):
+        base_size = 2 * shape.half_length + offset - 1
+        decomp = pair_placement(shape, offset)
+        if base_size > 2 * n or decomp is None:
+            return Fraction(0)
+        i_up = n - (base_size - decomp.open_upper) // 2
+        i_lo = n - (base_size - decomp.open_lower) // 2
+        if i_up < 0 or i_lo < 0:
+            return Fraction(0)
+        weight = math.prod(catalan(count // 2) for count in decomp.bounded_counts())
+        return Fraction(weight * catalan(i_up) * catalan(i_lo), catalan(n) ** 2)
+
+    cases = positive = 0
+    for shape in all_shapes(3) + [strong_l6, weak_l5]:
+        for offset in range(2, 2 * shape.half_length + 7):
+            for n in range(1, 13):
+                value = closed_form_pair_probability(n, offset, shape)
+                assert value == reference(n, offset, shape)
+                cases += 1
+                positive += value > 0
+    assert positive > 0 and cases > positive
+    # Far beyond the oracle's sizes.
+    assert closed_form_pair_probability(10**4, 7, weak_l5) == reference(10**4, 7, weak_l5) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +304,7 @@ def test_hypothesis_check_all_shapes():
     for shape in all_shapes(3):
         c = shape_constants(shape)
         mu_n = n * clt_parameters(shape).mean
-        corr = sum((o.correction for o in c.overlaps), Fraction(0))
-        s_n = Fraction(-(4 * c.half_length - 1) + 2 * corr, 2 * n)
+        s_n = Fraction(-(4 * c.half_length - 1) + 2 * c.correction_sum, 2 * n)
         assert clt_hypothesis_check(mu_n, s_n).all_pass
 
 
@@ -305,10 +323,9 @@ def test_asymptotic_log_moment_simple_loop(loop1):
 
 def test_asymptotic_close_to_exact_log(loop1):
     n, r = 10**6, 1000
-    gap = abs(
-        log_factorial_moment_strong(n, r, loop1) - log_factorial_moment_asymptotic(n, r, loop1)
-    )
-    assert gap < 0.01
+    exact = factorial_moment_strong(n, r, loop1)
+    log_exact = math.log(exact.numerator) - math.log(exact.denominator)
+    assert abs(log_exact - log_factorial_moment_asymptotic(n, r, loop1)) < 0.01
 
 
 def test_tightness_profile_basics(loop1):
@@ -316,7 +333,6 @@ def test_tightness_profile_basics(loop1):
     # The last term is the disjoint-copies term itself.
     assert profile.terms[-1][1] == disjoint_moment_term(400, 5, loop1)
     assert profile.min_ratio is not None and profile.min_ratio > 0
-    assert profile.growth_constant is not None and profile.growth_constant > 0
     with pytest.raises(ValueError):
         tightness_profile(10, 5, loop1)
 

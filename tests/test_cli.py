@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -315,6 +316,12 @@ def test_cap_exceeded_is_refused(capsys, tmp_path, monkeypatch, argv, message):
         (["replay", "no-digest.json"], "no-digest.json: manifest has no 'payloadSha256'"),
         (["replay", "no-shape.json"], "no-shape.json: moments parameters have no 'shape'"),
         (["replay", "absent.json"], "[Errno 2] No such file or directory: 'absent.json'"),
+        (["replay", "folder"], "[Errno 21] Is a directory: 'folder'"),
+        (["--config", "folder", "shapes", "--half-length", "1"], "[Errno 21] Is a directory: 'folder'"),
+        (
+            ["--config", "latin1.cfg", "shapes", "--half-length", "1"],
+            "latin1.cfg is not UTF-8 text: invalid continuation byte at byte 9",
+        ),
         (["shapes", "--half-length", "0"], "half-length must be >= 1, got 0"),
         (
             ["constants", "--shape", "supp=1,2;up=1-2"],
@@ -337,6 +344,9 @@ def test_cap_exceeded_is_refused(capsys, tmp_path, monkeypatch, argv, message):
         "replay-no-digest",
         "replay-no-parameter",
         "replay-absent",
+        "replay-dir",
+        "config-dir",
+        "config-not-utf8",
         "shapes-half-length-0",
         "constants-bad-shape",
         "shapes-parse-bogus",
@@ -354,10 +364,33 @@ def test_bad_path_or_input_is_usage_error(capsys, tmp_path, monkeypatch, argv, m
     (tmp_path / "no-shape.json").write_text(
         json.dumps({"subcommand": "moments", "parameters": {"n": 3}, "payloadSha256": "0"})
     )
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "latin1.cfg").write_bytes(b"seed = 1 \xe9\n")
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE
     assert out == ""
     assert err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,env",
+    [
+        (["verify", "--workers", "0"], None),
+        (["--config", "workers.cfg", "verify"], None),
+        (["verify"], "0"),
+    ],
+    ids=["verify-flag", "config", "env"],
+)
+def test_worker_count_below_one_is_usage_error(capsys, tmp_path, monkeypatch, argv, env):
+    # Refused before any check runs, whatever the suite.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "workers.cfg").write_text("workers = 0\n")
+    if env is not None:
+        monkeypatch.setenv("MEANDRIC_WORKERS", env)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "usage error: worker_count must be >= 1\n"
 
 
 @pytest.mark.parametrize("mode", ["formula", "asymptotic", "formula,asymptotic"])
@@ -412,6 +445,9 @@ def test_verify_small_suite(capsys):
     names = [r["check"] for r in doc["payload"]["results"]]
     assert "strong-moment-identity" in names
     assert "[PASS] strong-moment-identity" in out
+    # Each echo line ends with the check's wall seconds; the payload has none.
+    assert re.search(r"^\[PASS\] strong-moment-identity: .+ \(\d+\.\d\d s\)$", out, re.M)
+    assert not any(r["detail"].endswith(" s)") for r in doc["payload"]["results"])
 
 
 def test_verify_unknown_suite(capsys):

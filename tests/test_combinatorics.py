@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meandric.analysis import _catalan_quotient
 from meandric.combinatorics import (
     DyckWord,
     NonCrossingMatching,
@@ -14,7 +15,6 @@ from meandric.combinatorics import (
     enumerate_dyck_words,
     enumerate_matchings,
     falling_factorial,
-    log_catalan,
     matching_to_dyck,
 )
 from meandric.errors import InvalidDyckWordError, InvalidMatchingError
@@ -45,19 +45,12 @@ def test_falling_factorial_split_identity():
     )
 
 
-def test_log_catalan_accuracy():
-    assert log_catalan(0) == 0.0
-    assert abs(log_catalan(8) - math.log(1430)) < 1e-12
-    for n in (1, 17, 200, 1000):
-        exact = math.log(catalan(n))
-        assert abs(log_catalan(n) - exact) <= 1e-12 * abs(exact)
-
-
 def test_log_catalan_dyadic_decay():
     # The ratio catalan(n-r)/catalan(n) approaches 4**-r; at n=10**6,
     # r=1000 the log gap is about 1.5e-3, inside the 0.01 budget.
     n, r = 10**6, 1000
-    gap = log_catalan(n - r) - log_catalan(n) + 2 * r * math.log(2)
+    ratio = _catalan_quotient(n - r, n)
+    gap = math.log(ratio.numerator) - math.log(ratio.denominator) + 2 * r * math.log(2)
     assert abs(gap) < 0.01
 
 
