@@ -430,10 +430,6 @@ class CltParameters:
     mean: Fraction
     variance: Fraction
 
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
 
 def clt_parameters(shape: Shape) -> CltParameters:
     """Mean and variance coefficients of the shape-count CLT, exactly.

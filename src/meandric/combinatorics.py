@@ -9,9 +9,9 @@ Matchings are handled in bulk as rows of Dyck path heights, ``H[t]``
 after t steps.  Enumeration grows all Dyck words of a size as bit codes
 and returns their heights (:func:`_dyck_walks`); the sampler rotates
 random walks into Dyck paths (:func:`_rotated_heights`).  Shape counts
-read the heights directly; :func:`_stack_pairing` turns them into rows of
-partners only where a matching is the result, as in the public generators,
-which yield objects built from those rows.
+read the heights directly.  A single matching is built from its Dyck word
+by the stack bijection, :func:`dyck_to_matching`, the only place steps
+are paired.
 
 Vertices are 1-based throughout the package.
 """
@@ -250,18 +250,12 @@ def enumerate_matchings(n: int) -> Iterator[NonCrossingMatching]:
     order induced by :func:`enumerate_dyck_words`.  The count is
     ``catalan(n)``.
 
-    Like the words, the matchings come from the whole
-    :func:`_partner_matrix` at once: O(catalan(n) * n) memory, meant for
-    small n (n <= 8 in the tests, the shape half-length in
-    ``enumerate_shapes``, n <= 5 for the sampler's uniformity check)."""
-    for row in (_partner_matrix(n) + 1).tolist():
-        yield NonCrossingMatching((0, *row))
-
-
-def _partner_matrix(n: int) -> np.ndarray:
-    """0-based partners of every non-crossing matching of ``[2n]``, one
-    ``catalan(n) x 2n`` row each, in :func:`enumerate_matchings` order."""
-    return _stack_pairing(_dyck_walks(n))
+    Like the words, the matchings take O(catalan(n) * n) memory before
+    the first one is yielded, meant for small n (n <= 8 in the tests, the
+    shape half-length in ``enumerate_shapes``, n <= 5 for the sampler's
+    uniformity check)."""
+    for word in enumerate_dyck_words(n):
+        yield dyck_to_matching(word)
 
 
 def _rotated_heights(up: np.ndarray) -> np.ndarray:
@@ -289,23 +283,3 @@ def _rotated_heights(up: np.ndarray) -> np.ndarray:
     heights -= laps[r, pivot][:, None]
     return heights
 
-
-def _stack_pairing(heights: np.ndarray) -> np.ndarray:
-    """0-based partner rows of the matchings whose Dyck paths have the
-    given rows of heights, ``2n + 1`` each.
-
-    The stack bijection pairs each up-step with the next down-step at its
-    depth, the lower of the two heights it joins.  Up- and down-steps
-    alternate at every depth, so a stable sort by depth lists the steps
-    as pairs, left to right.  Heights of fewer than 2**15 steps are 16-bit,
-    which numpy sorts by radix.
-    """
-    rows, width = heights.shape
-    depth = np.minimum(heights[:, :-1], heights[:, 1:])
-    order = np.argsort(depth, axis=1, kind="stable")
-    partner = np.empty((rows, width - 1), dtype=np.int64)
-    r = np.arange(rows)[:, None]
-    opens, closes = order[:, 0::2], order[:, 1::2]
-    partner[r, opens] = closes
-    partner[r, closes] = opens
-    return partner

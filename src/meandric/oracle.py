@@ -26,11 +26,7 @@ masks in Python, and all arithmetic is in int64, exact because every
 intermediate value counts systems.  For the simple loop on a cold cache
 (2 cores, Python 3.11.7, numpy 2.4.6), a distribution takes about 0.015 s
 at n=9 (2**17 sets), 0.056 s at n=10 and 0.20 s at n=11, enumeration
-included, against 0.023, 0.080 and 0.28 s with a partner matrix paired
-from the words; building one validated ``NonCrossingMatching`` per
-matching took 0.09, 0.41 and 1.4 s, and the product over the 2901 x 2901
-distinct (upper, lower) mask pairs took 3.7 s at n=9.  Sets of more than
-``MAX_MASK_WIDTH`` positions are refused.
+included.  Sets of more than ``MAX_MASK_WIDTH`` positions are refused.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ uniform balanced nonnegative step sequence, which the stack bijection
 turns into an exactly uniform non-crossing matching.  The block kernel
 keeps each walk as the heights of its rotated path and finds a shape's
 arcs on them (:func:`meandric.meanders.arcs_at`), so counting never pairs
-the steps; only :func:`sample_matching`, whose result is a matching, does.
+the steps; only :func:`sample_matching`, whose result is a matching, does,
+through :func:`meandric.combinatorics.dyck_to_matching`.
 
 Everything is driven by counter-based (keyed Philox) randomness, so each
 draw is a pure function of ``(seed, stream, position)``: parallel workers
@@ -22,6 +23,7 @@ for a fixed seed regardless of the worker count.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -32,7 +34,13 @@ import numpy as np
 from scipy.special import chdtrc, ndtr
 
 from .analysis import clt_parameters
-from .combinatorics import NonCrossingMatching, _rotated_heights, _stack_pairing, enumerate_matchings
+from .combinatorics import (
+    DyckWord,
+    NonCrossingMatching,
+    _rotated_heights,
+    dyck_to_matching,
+    enumerate_matchings,
+)
 from .errors import MeandricError
 from .meanders import MeandricSystem, Shape, arcs_at, format_shape
 
@@ -46,7 +54,6 @@ __all__ = [
     "run_experiment",
     "summarize_samples",
     "anderson_darling_statistic",
-    "AD_CRITICAL_VALUES",
     "chi_square_uniformity",
     "UniformityReport",
     "matching_uniformity",
@@ -66,9 +73,10 @@ _CHUNK = 1024
 # clear gain.
 _BLOCK_CELLS = 1 << 14
 
-# Critical values for the normality statistic with mean and variance
-# estimated from the sample (applied to the size-adjusted statistic).
-AD_CRITICAL_VALUES = {0.10: 0.631, 0.05: 0.752, 0.025: 0.873, 0.01: 1.035}
+# The normality gate's level, and its critical value for the size-adjusted
+# statistic with mean and variance estimated from the sample.
+_AD_LEVEL = 0.01
+_AD_CRITICAL = 1.035
 
 
 def _philox_key(seed: int, stream: int, position: int) -> int:
@@ -135,8 +143,8 @@ def sample_matching(n: int, position: int, seed: int, stream: int = UPPER_STREAM
     (seed, stream, position)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    row = _stack_pairing(_height_rows(n, seed, stream, position, position + 1))[0]
-    return NonCrossingMatching((0, *(row + 1).tolist()))
+    heights = _height_rows(n, seed, stream, position, position + 1)[0]
+    return dyck_to_matching(DyckWord(tuple(np.diff(heights).tolist())))
 
 
 def sample_system(n: int, position: int, seed: int) -> MeandricSystem:
@@ -200,9 +208,12 @@ def _experiment_chunk(args: tuple[int, Shape, int, int, int]) -> np.ndarray:
 
 
 def _run_chunks(worker, args_list: list, worker_count: int) -> list:
-    if worker_count <= 1 or len(args_list) <= 1:
+    # The pool starts all its processes at the first submit, so more than
+    # one per chunk or per core would only idle.
+    workers = min(worker_count, len(args_list), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=worker_count) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, args_list, chunksize=1))
 
 
@@ -234,8 +245,6 @@ class SampleSummary:
     z_variance: float
     ad_statistic: float
     ad_statistic_raw: float
-    ad_level: float
-    ad_critical: float
     ad_pass: bool
 
     def to_json_dict(self) -> dict:
@@ -255,8 +264,8 @@ class SampleSummary:
             "zVariance": self.z_variance,
             "adStatistic": self.ad_statistic,
             "adStatisticRaw": self.ad_statistic_raw,
-            "adLevel": self.ad_level,
-            "adCritical": self.ad_critical,
+            "adLevel": _AD_LEVEL,
+            "adCritical": _AD_CRITICAL,
             "adPass": self.ad_pass,
         }
 
@@ -292,30 +301,19 @@ def _central_moments(histogram: Sequence[tuple[int, int]], total: int) -> tuple[
     return mean, m2, m3, m4
 
 
-def run_experiment(cfg: ExperimentConfig, ad_level: float = 0.01) -> SampleSummary:
+def run_experiment(cfg: ExperimentConfig) -> SampleSummary:
     """Run the experiment and summarize against the CLT prediction.
 
     The result depends only on (n, sample_count, shape, seed): work is
     split into fixed-size position chunks merged in position order, and
     statistics come from exact integer accumulators.
     """
-    _check_ad_level(ad_level)
-    return summarize_samples(cfg, samples_array(cfg), ad_level)
+    return summarize_samples(cfg, samples_array(cfg))
 
 
-def _check_ad_level(ad_level: float) -> None:
-    if ad_level not in AD_CRITICAL_VALUES:
-        raise ValueError(
-            f"ad_level must be one of {sorted(AD_CRITICAL_VALUES)}, got {ad_level!r}"
-        )
-
-
-def summarize_samples(
-    cfg: ExperimentConfig, xs: np.ndarray, ad_level: float = 0.01
-) -> SampleSummary:
+def summarize_samples(cfg: ExperimentConfig, xs: np.ndarray) -> SampleSummary:
     """Summary of the shape counts ``samples_array(cfg)`` against the CLT
     prediction, for callers that also keep the counts."""
-    _check_ad_level(ad_level)
     values, counts = np.unique(xs, return_counts=True)
     histogram = tuple((int(v), int(c)) for v, c in zip(values, counts))
     total = cfg.sample_count
@@ -336,7 +334,6 @@ def summarize_samples(
     dithered = sorted_values + gen.random(total) - 0.5
     ad = anderson_darling_statistic(dithered)
     ad_raw = anderson_darling_statistic(sorted_values)
-    critical = AD_CRITICAL_VALUES[ad_level]
 
     return SampleSummary(
         n=cfg.n,
@@ -354,9 +351,7 @@ def summarize_samples(
         z_variance=z_var,
         ad_statistic=ad,
         ad_statistic_raw=ad_raw,
-        ad_level=ad_level,
-        ad_critical=critical,
-        ad_pass=ad < critical,
+        ad_pass=ad < _AD_CRITICAL,
     )
 
 
@@ -398,16 +393,6 @@ class UniformityReport:
     counts: tuple[int, ...]
     statistic: float
     p_value: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "draws": self.draws,
-            "seed": self.seed,
-            "counts": list(self.counts),
-            "statistic": self.statistic,
-            "pValue": self.p_value,
-        }
 
 
 def _dyck_codes(up: np.ndarray) -> np.ndarray:
@@ -483,7 +468,7 @@ def evaluate_gates(summary: SampleSummary, profile: str = "full") -> GateReport:
     ``meanvar``: per-vertex mean within 0.002 absolute of the predicted
     coefficient, and variance within 5 percent of the prediction.
     ``full`` adds the skewness bound 0.1 and the normality gate at the
-    summary's configured level.
+    1% level.
     """
     if profile not in ("meanvar", "full"):
         raise ValueError(f"unknown gate profile {profile!r}")
@@ -501,7 +486,7 @@ def evaluate_gates(summary: SampleSummary, profile: str = "full") -> GateReport:
             GateCheck(
                 "normality",
                 summary.ad_statistic,
-                f"dithered statistic < {summary.ad_critical} ({summary.ad_level:.0%} level)",
+                f"dithered statistic < {_AD_CRITICAL} ({_AD_LEVEL:.0%} level)",
                 summary.ad_pass,
             )
         )

@@ -69,12 +69,12 @@ def _shapes_up_to(ell_max: int) -> list[Shape]:
     return out
 
 
-def check_strong_moment_identity(n_max: int = 7, include_l6: bool = True) -> tuple[bool, str]:
+def check_strong_moment_identity(n_max: int = 7) -> tuple[bool, str]:
     """Enumerated factorial moments equal the strong-shape closed form,
-    as exact rationals, for r in 1..3 and all n up to ``n_max``."""
+    as exact rationals, for r in 1..3 and all n up to ``n_max``, over the
+    strong shapes of half-length <= 2 and ``STRONG_L6``."""
     shapes = [s for s in _shapes_up_to(2) if shape_constants(s).is_strong]
-    if include_l6:
-        shapes.append(parse_shape(STRONG_L6))
+    shapes.append(parse_shape(STRONG_L6))
     cases = 0
     for n in range(1, n_max + 1):  # n outermost: each size is enumerated once
         for shape in shapes:
@@ -165,11 +165,12 @@ def check_growth_inequality(ell_max: int = 3) -> tuple[bool, str]:
     return True, f"{len(shapes)} shapes checked up to half-length {ell_max}"
 
 
-def check_asymptotic_consistency(n: int = 10**6, r: int = 1000) -> tuple[bool, str]:
+def check_asymptotic_consistency() -> tuple[bool, str]:
     """Log-scale agreement at n=10**6, r=1000: the log of the exact
     strong-shape moment stays within 0.01 of its asymptotic form for every
     strong shape of half-length <= 2, and the exact Catalan ratio matches
     the dyadic decay 4**-r to the same tolerance."""
+    n, r = 10**6, 1000
     worst = 0.0
     for shape in _shapes_up_to(2):
         if not shape_constants(shape).is_strong:
@@ -184,10 +185,11 @@ def check_asymptotic_consistency(n: int = 10**6, r: int = 1000) -> tuple[bool, s
     return worst < 0.01, f"worst log gap {worst:.3e} (catalan ratio gap {ratio_gap:.3e})"
 
 
-def check_hypotheses_all_shapes(ell_max: int = 3, n: int = 10**6) -> tuple[bool, str]:
+def check_hypotheses_all_shapes(ell_max: int = 3) -> tuple[bool, str]:
     """The moment-criterion hypotheses hold for every shape of
-    half-length <= ell_max at large n (mean scale linear in n, exclusion
+    half-length <= ell_max at n=10**6 (mean scale linear in n, exclusion
     scale 1/n)."""
+    n = 10**6
     for shape in _shapes_up_to(ell_max):
         params = clt_parameters(shape)
         c = shape_constants(shape)
@@ -198,18 +200,16 @@ def check_hypotheses_all_shapes(ell_max: int = 3, n: int = 10**6) -> tuple[bool,
     return True, f"all shapes up to half-length {ell_max}"
 
 
-def check_sampler_uniformity(
-    draws: int = 1_000_000, seed: int = UNIFORMITY_SEED, worker_count: int = 1
-) -> tuple[bool, str]:
+def check_sampler_uniformity(worker_count: int = 1) -> tuple[bool, str]:
     """Chi-square of 10**6 draws at n=4 over all 14 matchings: p > 0.001."""
-    report = matching_uniformity(4, draws, seed=seed, worker_count=worker_count)
+    report = matching_uniformity(4, 10**6, seed=UNIFORMITY_SEED, worker_count=worker_count)
     return report.p_value > 0.001, f"chi2={report.statistic:.2f} p={report.p_value:.4f}"
 
 
-def check_worker_invariance(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
+def check_worker_invariance() -> tuple[bool, str]:
     """Summaries are bit-identical across worker counts for a fixed seed."""
     cfgs = [
-        ExperimentConfig(n=300, sample_count=4000, shape=simple_loop(), seed=seed, worker_count=w)
+        ExperimentConfig(n=300, sample_count=4000, shape=simple_loop(), seed=DEFAULT_SEED, worker_count=w)
         for w in (1, 2, 4)
     ]
     payloads = [run_experiment(c).to_json_dict() for c in cfgs]
@@ -217,9 +217,7 @@ def check_worker_invariance(seed: int = DEFAULT_SEED) -> tuple[bool, str]:
     return ok, "identical summaries for workers 1, 2, 4" if ok else "summaries differ"
 
 
-def check_clt_gates(
-    strong_seed: int = DEFAULT_SEED, weak_seed: int = WEAK_GATE_SEED, worker_count: int = 1
-) -> tuple[bool, str]:
+def check_clt_gates(worker_count: int = 1) -> tuple[bool, str]:
     """Monte Carlo gates: the simple loop at n=2000 passes the mean,
     variance, skewness, and normality gates with 20000 samples; the weak
     example shape at n=4000 passes the mean and variance gates against
@@ -229,7 +227,7 @@ def check_clt_gates(
             n=2000,
             sample_count=20000,
             shape=simple_loop(),
-            seed=strong_seed,
+            seed=DEFAULT_SEED,
             worker_count=worker_count,
         )
     )
@@ -239,7 +237,7 @@ def check_clt_gates(
             n=4000,
             sample_count=20000,
             shape=parse_shape(WEAK_L5),
-            seed=weak_seed,
+            seed=WEAK_GATE_SEED,
             worker_count=worker_count,
         )
     )

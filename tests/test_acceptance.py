@@ -1,20 +1,14 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines, or just
-``pytest`` (the prints surface on failure).  Criteria 1-7 and 10 call
-their checks in :mod:`meandric.verify`, so pytest and ``meandric verify``
-judge them the same way.  Criterion 10 checks the tightness doubling at
+``pytest`` (the prints surface on failure).  Every criterion calls its
+checks in :mod:`meandric.verify`, so pytest and ``meandric verify`` judge
+them the same way.  Criterion 10 checks the tightness doubling at
 a size normalised by shape; its docstring derives the rule.
 """
 
 from meandric import verify
 from meandric.meanders import parse_shape, simple_loop
-from meandric.sampling import (
-    ExperimentConfig,
-    evaluate_gates,
-    matching_uniformity,
-    run_experiment,
-)
 
 WORKERS = 4
 
@@ -28,7 +22,7 @@ def test_criterion_01_strong_moment_identity():
     # moments match the strong-shape product formula for r in 1..3,
     # n <= 10, over all strong shapes of half-length <= 2 plus the
     # half-length-6 example.
-    ok, detail = verify.check_strong_moment_identity(n_max=10, include_l6=True)
+    ok, detail = verify.check_strong_moment_identity(n_max=10)
     _report(1, ok, detail)
     assert ok, detail
 
@@ -64,49 +58,27 @@ def test_criterion_06_growth_inequality():
 
 
 def test_criterion_07_asymptotic_consistency():
-    ok, detail = verify.check_asymptotic_consistency(n=10**6, r=1000)
+    ok, detail = verify.check_asymptotic_consistency()
     _report(7, ok, detail)
     assert ok, detail
 
 
 def test_criterion_08_sampler_uniformity():
-    report = matching_uniformity(4, 1_000_000, seed=verify.UNIFORMITY_SEED, worker_count=WORKERS)
-    ok_p = report.p_value > 0.001
+    # 10**6 draws at n=4 over all 14 matchings, chi-square p > 0.001, and
+    # bit-identical summaries for workers 1, 2 and 4.
+    ok_p, detail_p = verify.check_sampler_uniformity(worker_count=WORKERS)
     ok_workers, detail_workers = verify.check_worker_invariance()
-    ok = ok_p and ok_workers
-    _report(8, ok, f"chi2 p={report.p_value:.4f}; {detail_workers}")
-    assert ok_p, f"uniformity p-value {report.p_value}"
+    _report(8, ok_p and ok_workers, f"{detail_p}; {detail_workers}")
+    assert ok_p, detail_p
     assert ok_workers, detail_workers
 
 
 def test_criterion_09_clt_gates():
-    strong = run_experiment(
-        ExperimentConfig(
-            n=2000,
-            sample_count=20000,
-            shape=simple_loop(),
-            seed=verify.DEFAULT_SEED,
-            worker_count=WORKERS,
-        )
-    )
-    gates_strong = evaluate_gates(strong, "full")
-    weak = run_experiment(
-        ExperimentConfig(
-            n=4000,
-            sample_count=20000,
-            shape=parse_shape(verify.WEAK_L5),
-            seed=verify.WEAK_GATE_SEED,
-            worker_count=WORKERS,
-        )
-    )
-    gates_weak = evaluate_gates(weak, "meanvar")
-    ok = gates_strong.all_pass and gates_weak.all_pass
-    detail = "; ".join(
-        f"{c.name}={c.value:.4g}" for c in gates_strong.checks + gates_weak.checks
-    )
+    # The simple loop at n=2000 under the full gate profile, and the weak
+    # example at n=4000 under mean and variance, 20000 samples each.
+    ok, detail = verify.check_clt_gates(worker_count=WORKERS)
     _report(9, ok, detail)
-    assert gates_strong.all_pass, gates_strong.to_json_dict()
-    assert gates_weak.all_pass, gates_weak.to_json_dict()
+    assert ok, detail
 
 
 def test_criterion_10_tightness_doubling():

@@ -1,8 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import meandric
 from meandric.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, main
 from meandric.verify import WEAK_L5
 
@@ -459,3 +464,12 @@ def test_verify_unknown_suite(capsys):
 def test_unknown_command(capsys):
     code, out, err = run_cli(capsys, "frobnicate")
     assert code == EXIT_USAGE
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # ``scipy.stats`` takes over a second to import, which every command
+    # would pay at startup; the package needs only ``scipy.special``.
+    env = {**os.environ, "PYTHONPATH": str(Path(meandric.__file__).parents[1])}
+    code = "import sys, meandric; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -9,7 +9,6 @@ from meandric.analysis import _catalan_quotient
 from meandric.combinatorics import (
     DyckWord,
     NonCrossingMatching,
-    _partner_matrix,
     catalan,
     dyck_to_matching,
     enumerate_dyck_words,
@@ -107,9 +106,6 @@ def test_enumeration_matches_brute_force(n):
     assert len(words) == catalan(n)
     assert list(enumerate_dyck_words(n)) == words
     assert list(enumerate_matchings(n)) == matchings
-    partners = _partner_matrix(n)
-    assert partners.shape == (catalan(n), 2 * n)
-    assert partners.tolist() == [[v - 1 for v in m.partner[1:]] for m in matchings]
 
 
 def test_matching_round_trip_exhaustive():

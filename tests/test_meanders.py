@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meandric.combinatorics import NonCrossingMatching, _dyck_walks, _partner_matrix
+from meandric.combinatorics import NonCrossingMatching, _dyck_walks, enumerate_matchings
 from meandric.errors import CapExceededError, InvalidMatchingError, InvalidShapeError
 from meandric.meanders import (
     Component,
@@ -135,7 +135,8 @@ def partner_hits(partners, arcs, width):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_heights_kernel_is_the_partner_test(n):
-    heights, partners = _dyck_walks(n), _partner_matrix(n)
+    heights = _dyck_walks(n)
+    partners = np.array([m.partner[1:] for m in enumerate_matchings(n)]) - 1
     shapes = [s for ell in (1, 2, 3) for s in enumerate_shapes(ell)]
     shapes += [parse_shape(WEAK_L5), parse_shape(STRONG_L6)]
     for shape in shapes:

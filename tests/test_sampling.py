@@ -1,6 +1,6 @@
 import itertools
 import math
-import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,13 +9,18 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from meandric import sampling
-from meandric.combinatorics import NonCrossingMatching, _rotated_heights, _stack_pairing, catalan
+from meandric.combinatorics import (
+    DyckWord,
+    NonCrossingMatching,
+    _rotated_heights,
+    catalan,
+    dyck_to_matching,
+)
 from meandric.errors import MeandricError
 from meandric.meanders import MeandricSystem, count_shape, parse_shape, simple_loop
 from meandric.sampling import (
     LOWER_STREAM,
     UPPER_STREAM,
-    AD_CRITICAL_VALUES,
     ExperimentConfig,
     anderson_darling_statistic,
     chi_square_uniformity,
@@ -26,7 +31,6 @@ from meandric.sampling import (
     sample_system,
     samples_array,
     samples_csv,
-    summarize_samples,
 )
 from meandric.sampling import _count_rows, _experiment_chunk, _height_rows
 from meandric.verify import WEAK_L5
@@ -148,14 +152,33 @@ def test_run_experiment_summary(loop1):
     assert doc["adStatistic"] == summary.ad_statistic
 
 
-def test_unknown_ad_level_rejected_up_front(loop1, monkeypatch):
-    cfg = ExperimentConfig(n=10, sample_count=5, shape=loop1, seed=0)
-    monkeypatch.setattr(sampling, "samples_array", lambda cfg: pytest.fail("sampled first"))
-    message = f"ad_level must be one of {sorted(AD_CRITICAL_VALUES)}, got 0.2"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        run_experiment(cfg, ad_level=0.2)
-    with pytest.raises(ValueError, match="ad_level must be one of"):
-        summarize_samples(cfg, np.zeros(5, dtype=np.int64), ad_level=0.2)
+def test_worker_pool_is_capped_by_chunks_and_cores(loop1, monkeypatch):
+    # A stand-in pool records its size and maps serially: no process starts.
+    opened = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(sampling, "ProcessPoolExecutor", SerialPool)
+    cfg = ExperimentConfig(
+        n=20, sample_count=3 * sampling._CHUNK, shape=loop1, seed=5, worker_count=10**6
+    )
+    serial = samples_array(replace(cfg, worker_count=1))
+    for cores, expected in ((64, [3]), (2, [2]), (None, [])):
+        opened.clear()
+        monkeypatch.setattr(sampling.os, "cpu_count", lambda: cores)
+        assert np.array_equal(samples_array(cfg), serial)
+        assert opened == expected
 
 
 def test_worker_invariance(loop1):
@@ -264,11 +287,12 @@ positions = st.integers(0, 2**60 - 8)
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 60), seeds, positions, st.sampled_from(STREAMS), st.integers(1, 6))
 def test_kernel_rows_are_the_stream(n, seed, position, stream, rows):
-    partners = _stack_pairing(_height_rows(n, seed, stream, position, position + rows))
-    assert partners.shape == (rows, 2 * n)
-    for k, row in enumerate(partners):
-        NonCrossingMatching((0, *(row + 1).tolist()))  # raises unless non-crossing
-        assert row.tolist() == reference_partner(n, seed, stream, position + k)
+    heights = _height_rows(n, seed, stream, position, position + rows)
+    assert heights.shape == (rows, 2 * n + 1)
+    for k, row in enumerate(heights):
+        partner = reference_partner(n, seed, stream, position + k)
+        NonCrossingMatching((0, *(v + 1 for v in partner)))  # raises unless non-crossing
+        assert row.tolist() == path_heights(np.array(partner)).tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -292,17 +316,18 @@ def test_kernel_counts_match_tracing(n, seed, position):
 
 
 @pytest.mark.parametrize("n", [16383, 16384])  # the longest 16-bit walk, the shortest 32-bit
-def test_stack_pairing_extreme_walks(n):
+def test_extreme_walks_rotate_and_pair_as_rainbow(n):
     # All up-steps first, or all down-steps first: the walk reaches height
     # n or -(n + 1), the extremes of its prefix sums, and both rotate to
     # the rainbow's path and pair as a rainbow.
-    rainbow = np.arange(2 * n)[::-1]
+    rainbow = tuple(range(2 * n, 0, -1))
     tent = np.minimum(np.arange(2 * n + 1), np.arange(2 * n + 1)[::-1])
     for up in ([True] * n + [False] * (n + 1), [False] * (n + 1) + [True] * n):
         heights = _rotated_heights(np.array([up]))
         assert heights.dtype == (np.int16 if 2 * n + 1 < 2**15 else np.int32)
         assert np.array_equal(heights[0], tent)
-        assert np.array_equal(_stack_pairing(heights)[0], rainbow)
+        word = DyckWord(tuple(np.diff(heights[0]).tolist()))
+        assert dyck_to_matching(word).partner[1:] == rainbow
 
 
 # Two copies of the weak example at offsets 1 and 7, completed at n=8.
@@ -326,7 +351,7 @@ def test_kernel_counts_weak_shape_match_tracing(n_left, n_right, seed, position)
 
     def planted(stream, arcs):
         left, right = (
-            _stack_pairing(_height_rows(n, seed, stream, at, at + 1))[0]
+            np.array(sample_matching(n, at, seed, stream).partner[1:]) - 1
             if n
             else np.empty(0, dtype=np.int64)
             for n, at in ((n_left, position), (n_right, position + 1))
