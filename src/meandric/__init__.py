@@ -60,8 +60,6 @@ from .analysis import (
     face_decomposition,
     factorial_moment_strong,
     log_factorial_moment_asymptotic,
-    overlap_scan,
-    pair_placement,
     shape_constants,
     tightness_profile,
 )

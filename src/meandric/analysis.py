@@ -14,12 +14,13 @@ Everything downstream is built from the per-face free-vertex counts:
   fill the bounded faces of a placed copy with non-crossing arcs;
 * the open pair counts (half the free-vertex count of each unbounded face)
   shift the Catalan indices for filling the rest of the plane;
-* the overlap scan finds the offsets at which two copies of a shape can
-  coexist, and each feasible overlap contributes an exact rational
+* :func:`shape_constants` scans the offsets at which two copies of a shape
+  can coexist, and each feasible overlap contributes an exact rational
   correction to the variance coefficient of the central limit theorem.
 
 One exact rule, ``_placement_probability``, gives the probability of every
-placement, whether of u disjoint copies or of two overlapping ones.
+placement: of u disjoint copies, or of two copies, whose constants are
+read from that overlap table.
 
 All shape constants and moment values are exact (int / Fraction); the
 only float is :func:`log_factorial_moment_asymptotic`, the large-n form
@@ -47,9 +48,7 @@ __all__ = [
     "HypothesisReport",
     "TightnessProfile",
     "face_decomposition",
-    "pair_placement",
     "closed_form_pair_probability",
-    "overlap_scan",
     "shape_constants",
     "disjoint_moment_term",
     "factorial_moment_strong",
@@ -215,19 +214,12 @@ def _face_weight(decomp: FaceDecomposition) -> int:
     return w
 
 
-def pair_placement(shape: Shape, offset: int) -> FaceDecomposition | None:
-    """Face decomposition of two copies at positions 1 and ``offset``, or
-    None when the copies collide, cross, or leave a bounded face with an
-    odd free-vertex count (in which case no meandric system can contain
-    both copies)."""
-    if offset < 2:
-        raise ValueError(f"offset must be >= 2, got {offset}")
-    shift = offset - 1
-    first = set(shape.support)
-    if any(v + shift in first for v in shape.support):
-        return None
+def _joint_faces(placement: Placement) -> FaceDecomposition | None:
+    """Face decomposition of placed copies, or None when no meandric
+    system holds them all: the copies collide or cross, or they leave a
+    bounded face with an odd free-vertex count."""
     try:
-        decomp = face_decomposition([(shape, 1), (shape, offset)])
+        decomp = face_decomposition(placement)
     except InvalidShapeError:
         return None
     if any(count % 2 for count in decomp.bounded_counts()):
@@ -235,74 +227,49 @@ def pair_placement(shape: Shape, offset: int) -> FaceDecomposition | None:
     return decomp
 
 
-def closed_form_pair_probability(n: int, offset: int, shape: Shape) -> Fraction:
-    """Probability that copies sit at positions 1 and ``offset``, from the
-    joint face decomposition: fill the bounded faces (one Catalan factor
-    each) and the two unbounded faces (one Catalan factor each, index
-    shifted by the open free-vertex counts).  Zero when the placement is
-    infeasible or does not fit in ``[2n]``."""
-    base_size = 2 * shape.half_length + offset - 1
-    if base_size > 2 * n:
-        return Fraction(0)
-    decomp = pair_placement(shape, offset)
-    if decomp is None:
-        return Fraction(0)
-    return _placement_probability(
-        n, _face_weight(decomp), base_size, decomp.open_upper, decomp.open_lower
-    )
+@lru_cache(maxsize=None)
+def shape_constants(shape: Shape) -> ShapeConstants:
+    """Compute and cache the placement constants of a shape.
 
-
-def overlap_scan(shape: Shape) -> tuple[OverlapInfo, ...]:
-    """Offsets at which two copies of the shape can overlap, with the
-    constants of each joint placement.
-
-    Scans offsets ``2 .. 2*half_length`` (the overlapping range).  Offset
-    1 is excluded: two distinct copies need distinct starting positions.
+    The overlaps are the offsets ``2 .. 2*half_length`` at which a second
+    copy can coexist with one at 1 (offset 1 would be the same copy), with
+    the constants of each joint placement.
     """
-    ell = shape.half_length
-    single = face_decomposition(shape)
-    weight = _face_weight(single)
-    open_pairs = single.open_upper // 2 + single.open_lower // 2
-    out = []
+    decomp = face_decomposition(shape)
+    if decomp.open_upper % 2 or decomp.open_lower % 2:
+        raise InvalidShapeError("matching: unbounded face has odd free count for a single loop")
+    ell, weight = shape.half_length, _face_weight(decomp)
+    open_pairs = decomp.open_upper // 2 + decomp.open_lower // 2
+    overlaps = []
     for offset in range(2, 2 * ell + 1):
-        decomp = pair_placement(shape, offset)
-        if decomp is None:
+        pair = _joint_faces([(shape, 1), (shape, offset)])
+        if pair is None:
             continue
         base_size = 2 * ell + offset - 1
-        pair_weight = _face_weight(decomp)
+        pair_weight = _face_weight(pair)
         # The correction is a dyadic multiple of K_pair / K**2.  The exponent
         # of 4 in its definition is a half-integer for even offsets, so it
         # is carried as an exponent of 2, which is always exact.
-        two_log = 8 * ell - 2 * base_size + decomp.open_upper + decomp.open_lower - 4 * open_pairs
-        out.append(
+        two_log = 8 * ell - 2 * base_size + pair.open_upper + pair.open_lower - 4 * open_pairs
+        overlaps.append(
             OverlapInfo(
                 offset=offset,
                 base_size=base_size,
                 face_weight=pair_weight,
-                open_free_upper=decomp.open_upper,
-                open_free_lower=decomp.open_lower,
+                open_free_upper=pair.open_upper,
+                open_free_lower=pair.open_lower,
                 correction=Fraction(pair_weight, weight * weight) * Fraction(2) ** two_log,
             )
         )
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def shape_constants(shape: Shape) -> ShapeConstants:
-    """Compute and cache the placement constants of a shape."""
-    decomp = face_decomposition(shape)
-    if decomp.open_upper % 2 or decomp.open_lower % 2:
-        raise InvalidShapeError("matching: unbounded face has odd free count for a single loop")
     constants = ShapeConstants(
-        half_length=shape.half_length,
-        face_weight=_face_weight(decomp),
+        half_length=ell,
+        face_weight=weight,
         open_pairs_upper=decomp.open_upper // 2,
         open_pairs_lower=decomp.open_lower // 2,
-        overlaps=overlap_scan(shape),
+        overlaps=tuple(overlaps),
     )
     # Structural guarantees: the unbounded faces cannot exhaust the base,
     # and the face weight is dominated by the normalizer.
-    ell, weight = constants.half_length, constants.face_weight
     if constants.open_pairs_upper + constants.open_pairs_lower > ell - 1:
         raise ShapeInvariantError(
             f"shape {format_shape(shape)}: {constants.open_pairs_upper} + "
@@ -374,6 +341,34 @@ def disjoint_moment_term(n: int, u: int, shape: Shape) -> Fraction:
     return placements * _placement_probability(
         n, c.face_weight**u, 2 * u * ell, 2 * u * c.open_pairs_upper, 2 * u * c.open_pairs_lower
     )
+
+
+def closed_form_pair_probability(n: int, offset: int, shape: Shape) -> Fraction:
+    """Probability that copies sit at positions 1 and ``offset``, read
+    from the overlap table of :func:`shape_constants`.
+
+    An overlapping offset (at most ``2*half_length``) that the table does
+    not list is infeasible.  Beyond it the copies sit side by side, which
+    is :func:`disjoint_moment_term`'s placement of two copies: the free
+    vertices between them open into both unbounded faces and cancel out
+    of both Catalan indices.  Zero when the pair does not fit in ``[2n]``.
+    """
+    ell = shape.half_length
+    if 2 * ell + offset - 1 > 2 * n:
+        return Fraction(0)
+    if offset < 2:
+        raise ValueError(f"offset must be >= 2, got {offset}")
+    c = shape_constants(shape)
+    if offset > 2 * ell:
+        return _placement_probability(
+            n, c.face_weight**2, 4 * ell, 4 * c.open_pairs_upper, 4 * c.open_pairs_lower
+        )
+    for o in c.overlaps:
+        if o.offset == offset:
+            return _placement_probability(
+                n, o.face_weight, o.base_size, o.open_free_upper, o.open_free_lower
+            )
+    return Fraction(0)
 
 
 def factorial_moment_strong(n: int, r: int, shape: Shape) -> Fraction:
@@ -465,8 +460,6 @@ class HypothesisReport:
     product test, whose outcome is ``all_pass``.
     """
 
-    mu: float
-    s: float
     product: float
     sigma: float
     all_pass: bool
@@ -482,9 +475,7 @@ def clt_hypothesis_check(mu_n: Union[float, Rational], s_n: Union[float, Rationa
     product = mu_n * s_n
     var = mu_n * (1 + product)
     sigma = math.sqrt(float(var)) if var >= 0 else float("nan")
-    return HypothesisReport(
-        mu=float(mu_n), s=float(s_n), product=float(product), sigma=sigma, all_pass=product > -1
-    )
+    return HypothesisReport(product=float(product), sigma=sigma, all_pass=product > -1)
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +493,6 @@ class TightnessProfile:
     blocks are negligible exactly when this stays large.
     """
 
-    n: int
-    r: int
     terms: tuple[tuple[int, Fraction], ...]
     min_ratio: Fraction | None
 
@@ -526,7 +515,7 @@ def tightness_profile(n: int, r: int, shape: Shape) -> TightnessProfile:
         if b_u > 0:
             ratio = b_next / b_u
             min_ratio = ratio if min_ratio is None else min(min_ratio, ratio)
-    return TightnessProfile(n=n, r=r, terms=terms, min_ratio=min_ratio)
+    return TightnessProfile(terms=terms, min_ratio=min_ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -365,6 +365,9 @@ def _cmd_verify(args, config) -> int:
     if args.suite not in ("small", "full"):
         raise UsageError(f"unknown suite {args.suite!r}; expected small or full")
     workers = _resolve_workers(args.workers, config)
+    if args.out:
+        # Refuse an unwritable path before the checks run and echo.
+        _write_output(args.out, "")
     results = verify_mod.run_suite(args.suite, worker_count=workers, echo=True)
     payload = {
         "suite": args.suite,

@@ -175,7 +175,8 @@ def format_shape(shape: Shape) -> str:
 
 
 def parse_shape(text: str) -> Shape:
-    """Parse the shape grammar ``supp=...;up=...;lo=...``.
+    """Parse the shape grammar ``supp=...;up=...;lo=...``, each field
+    exactly once in any order.
 
     Violations of the shape invariants raise :class:`InvalidShapeError`
     with a message naming the failed invariant.
@@ -185,7 +186,12 @@ def parse_shape(text: str) -> Shape:
         key, eq, value = part.partition("=")
         if not eq:
             raise InvalidShapeError(f"grammar: missing '=' in {part!r}")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in ("supp", "up", "lo"):
+            raise InvalidShapeError(f"grammar: unknown field {key!r}")
+        if key in fields:
+            raise InvalidShapeError(f"grammar: repeated field {key!r}")
+        fields[key] = value.strip()
     missing = {"supp", "up", "lo"} - fields.keys()
     if missing:
         raise InvalidShapeError(f"grammar: missing fields {sorted(missing)}")

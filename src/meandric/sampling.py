@@ -37,9 +37,10 @@ from .analysis import clt_parameters
 from .combinatorics import (
     DyckWord,
     NonCrossingMatching,
+    _dyck_walks,
     _rotated_heights,
     dyck_to_matching,
-    enumerate_matchings,
+    enumerate_matchings,  # noqa: F401  (perfbench/tracing.py wraps this global)
 )
 from .errors import MeandricError
 from .meanders import MeandricSystem, Shape, arcs_at, format_shape
@@ -395,9 +396,10 @@ class UniformityReport:
     p_value: float
 
 
-def _dyck_codes(up: np.ndarray) -> np.ndarray:
-    """One integer per row of up-step flags: bit i is set when vertex
-    i + 1 opens its arc."""
+def _dyck_codes(heights: np.ndarray) -> np.ndarray:
+    """One integer per row of Dyck path heights: bit t is set when step t
+    goes up, that is when vertex t + 1 opens its arc."""
+    up = heights[:, 1:] > heights[:, :-1]
     return up @ (1 << np.arange(up.shape[1], dtype=np.int64))
 
 
@@ -407,7 +409,7 @@ def _uniformity_chunk(args: tuple[int, int, int, int, np.ndarray]) -> np.ndarray
     out = np.zeros(codes.size, dtype=np.int64)
     for lo, hi in _blocks(n, start, stop):
         heights = _height_rows(n, seed, UPPER_STREAM, lo, hi)
-        drawn = _dyck_codes(heights[:, 1:] > heights[:, :-1])
+        drawn = _dyck_codes(heights)
         out += np.bincount(order[np.searchsorted(codes[order], drawn)], minlength=codes.size)
     return out
 
@@ -417,8 +419,7 @@ def matching_uniformity(n: int, draws: int, seed: int, worker_count: int = 1) ->
     ``catalan(n)`` outcomes against exact uniformity."""
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
-    partners = np.array([m.partner[1:] for m in enumerate_matchings(n)])
-    codes = _dyck_codes(partners > np.arange(1, 2 * n + 1))
+    codes = _dyck_codes(_dyck_walks(n))
     chunk = 50_000
     chunks = [
         (n, seed, start, min(start + chunk, draws), codes) for start in range(0, draws, chunk)

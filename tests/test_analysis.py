@@ -14,7 +14,6 @@ from meandric.analysis import (
     face_decomposition,
     factorial_moment_strong,
     log_factorial_moment_asymptotic,
-    pair_placement,
     shape_constants,
     tightness_profile,
 )
@@ -25,6 +24,21 @@ from meandric.meanders import enumerate_shapes, simple_loop
 
 def all_shapes(ell_max):
     return [s for ell in range(1, ell_max + 1) for s in enumerate_shapes(ell)]
+
+
+def joint_faces(shape, offset):
+    """Faces of two copies at 1 and ``offset``, or None when no system
+    holds both: they share a vertex, cross, or leave an odd bounded face."""
+    shift = offset - 1
+    if set(shape.support) & {v + shift for v in shape.support}:
+        return None
+    try:
+        decomp = face_decomposition([(shape, 1), (shape, offset)])
+    except InvalidShapeError:
+        return None
+    if any(count % 2 for count in decomp.bounded_counts()):
+        return None
+    return decomp
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +64,7 @@ def test_weak_l5_pair_faces(weak_l5):
     # run of two, and each unbounded face picks up the other run.  These
     # open counts are pinned by enumeration: the closed-form pair
     # probability matches brute force at n=9 only with (2, 2).
-    decomp = pair_placement(weak_l5, 7)
+    decomp = joint_faces(weak_l5, 7)
     assert decomp is not None
     assert dict(decomp.upper) == {(2, 5): 2}
     assert dict(decomp.lower) == {(12, 15): 2}
@@ -234,7 +248,7 @@ def test_pair_probability_against_full_catalan(strong_l6, weak_l5):
     # one each, with the index shifted by the open free-vertex count.
     def reference(n, offset, shape):
         base_size = 2 * shape.half_length + offset - 1
-        decomp = pair_placement(shape, offset)
+        decomp = joint_faces(shape, offset)
         if base_size > 2 * n or decomp is None:
             return Fraction(0)
         i_up = n - (base_size - decomp.open_upper) // 2

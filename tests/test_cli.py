@@ -334,6 +334,21 @@ def test_cap_exceeded_is_refused(capsys, tmp_path, monkeypatch, argv, message):
         ),
         (["shapes", "--parse", "bogus"], "invalid shape: grammar: missing '=' in 'bogus'"),
         (
+            ["constants", "--shape", "supp=1,2;up=1-2;lo=1-2;foo=3"],
+            "invalid shape: grammar: unknown field 'foo'",
+        ),
+        (
+            ["constants", "--shape", "supp=1,2;up=1-2;lo=1-2;lo=1-2"],
+            "invalid shape: grammar: repeated field 'lo'",
+        ),
+        (
+            ["constants", "--shape", "supp=1,3;up=1-3;lo=1-3"],
+            "invalid shape: support: rightmost support point must be even",
+        ),
+        (["constants"], "the following arguments are required: --shape"),
+        (["verify", "--out", "."], "cannot write .: Is a directory"),
+        (["verify", "--workers", "x"], "argument --workers: invalid int value: 'x'"),
+        (
             ["sample", "--n", "3", "--samples", "10", "--shape", WEAK_L5, "--seed", "0"],
             "shape of half-length 5 cannot fit in a size-3 system",
         ),
@@ -355,6 +370,12 @@ def test_cap_exceeded_is_refused(capsys, tmp_path, monkeypatch, argv, message):
         "shapes-half-length-0",
         "constants-bad-shape",
         "shapes-parse-bogus",
+        "constants-unknown-field",
+        "constants-repeated-field",
+        "constants-odd-support",
+        "constants-no-shape",
+        "verify-out-dir",
+        "verify-workers-not-int",
         "sample-shape-beyond-n",
     ],
 )

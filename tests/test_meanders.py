@@ -251,6 +251,8 @@ def test_shape_grammar_round_trip(weak_l5):
         ("supp=2,3;up=2-3;lo=2-3", "support"),
         ("supp=1,2;up=1-2", "grammar"),
         ("supp=1,2;up=1-2;lo=1,2", "grammar"),
+        ("supp=1,2;up=1-2;lo=1-2;foo=3", "grammar: unknown field 'foo'"),
+        ("supp=1,2;up=1-2;lo=1-2;lo=1-2", "grammar: repeated field 'lo'"),
         ("supp=1,2,3,4;up=1-2;lo=1-2,3-4", "matching"),
     ],
 )
