@@ -6,7 +6,8 @@ vertices (base points the loop skips) each sit in exactly one upper face
 and one lower face, namely the region under the innermost enclosing arc of
 that half-plane, or the unbounded face if no arc encloses them.  Within a
 half-plane the region under an arc but outside its child arcs is
-connected, so "innermost enclosing arc" is a complete face label.
+connected, so "innermost enclosing arc" is a complete face label, the
+top of a stack of open arcs in one left-to-right sweep of the base.
 
 Everything downstream is built from the per-face free-vertex counts:
 
@@ -38,7 +39,7 @@ from typing import Sequence, Union
 
 from .combinatorics import catalan, choose
 from .errors import InvalidShapeError, ShapeInvariantError, WeakShapeError
-from .meanders import Shape, arcs_noncrossing, format_shape
+from .meanders import Shape, format_shape
 
 __all__ = [
     "FaceDecomposition",
@@ -83,16 +84,6 @@ class FaceDecomposition:
         return tuple(c for _, c in self.upper) + tuple(c for _, c in self.lower)
 
 
-def _innermost(arcs: Sequence[tuple[int, int]], v: int) -> tuple[int, int] | None:
-    """Innermost arc strictly enclosing v, or None.  Enclosing arcs of a
-    non-crossing family are nested, so the shortest one is innermost."""
-    best = None
-    for a, b in arcs:
-        if a < v < b and (best is None or b - a < best[1] - best[0]):
-            best = (a, b)
-    return best
-
-
 def _placed_arcs(placement: Placement) -> tuple[list[tuple[int, int]], list[tuple[int, int]], list[int]]:
     """Absolute (upper arcs, lower arcs, support) of a list of placed copies."""
     upper: list[tuple[int, int]] = []
@@ -108,6 +99,29 @@ def _placed_arcs(placement: Placement) -> tuple[list[tuple[int, int]], list[tupl
     return upper, lower, support
 
 
+def _half_plane_faces(arcs: list[tuple[int, int]], base: range) -> tuple[tuple, int]:
+    """Free-vertex counts of one half-plane's bounded faces and of its
+    unbounded face, from one sweep of the base.  The arcs open at a vertex
+    form a stack whose top is the innermost; an arc that closes below the
+    top crosses it."""
+    partner = dict(arcs) | {b: a for a, b in arcs}
+    faces: dict[tuple[int, int], int] = {}
+    open_count = 0
+    stack: list[tuple[int, int]] = []
+    for v in base:
+        w = partner.get(v)
+        if w is None:
+            if stack:
+                faces[stack[-1]] = faces.get(stack[-1], 0) + 1
+            else:
+                open_count += 1
+        elif v < w:
+            stack.append((v, w))
+        elif stack.pop() != (w, v):
+            raise InvalidShapeError("crossing: placed copies cross")
+    return tuple(sorted(faces.items())), open_count
+
+
 def face_decomposition(loops: Union[Shape, Placement]) -> FaceDecomposition:
     """Assign every free vertex of the combined base to its upper and
     lower face and aggregate the counts per face.
@@ -120,32 +134,10 @@ def face_decomposition(loops: Union[Shape, Placement]) -> FaceDecomposition:
     upper_arcs, lower_arcs, support = _placed_arcs(placement)
     if len(set(support)) != len(support):
         raise InvalidShapeError("support: placed copies share a vertex")
-    if not arcs_noncrossing(upper_arcs) or not arcs_noncrossing(lower_arcs):
-        raise InvalidShapeError("crossing: placed copies cross")
-    members = set(support)
     base = range(min(support), max(support) + 1)
-    up_faces: dict[tuple[int, int], int] = {}
-    lo_faces: dict[tuple[int, int], int] = {}
-    open_upper = open_lower = 0
-    for v in base:
-        if v in members:
-            continue
-        arc = _innermost(upper_arcs, v)
-        if arc is None:
-            open_upper += 1
-        else:
-            up_faces[arc] = up_faces.get(arc, 0) + 1
-        arc = _innermost(lower_arcs, v)
-        if arc is None:
-            open_lower += 1
-        else:
-            lo_faces[arc] = lo_faces.get(arc, 0) + 1
-    return FaceDecomposition(
-        upper=tuple(sorted(up_faces.items())),
-        lower=tuple(sorted(lo_faces.items())),
-        open_upper=open_upper,
-        open_lower=open_lower,
-    )
+    upper, open_upper = _half_plane_faces(upper_arcs, base)
+    lower, open_lower = _half_plane_faces(lower_arcs, base)
+    return FaceDecomposition(upper=upper, lower=lower, open_upper=open_upper, open_lower=open_lower)
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,8 @@ def _read_input(path: str) -> str:
 
 
 def _read_config(path: str | None) -> dict[str, str]:
-    """Key=value config file; '#' starts a comment."""
+    """Key=value config file of the keys workers and seed, each at most
+    once; '#' starts a comment."""
     if not path:
         return {}
     values: dict[str, str] = {}
@@ -144,7 +145,12 @@ def _read_config(path: str | None) -> dict[str, str]:
         key, eq, value = line.partition("=")
         if not eq:
             raise UsageError(f"bad config line {raw.rstrip()!r}")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in ("workers", "seed"):
+            raise UsageError(f"{path}: unknown config key {key!r}")
+        if key in values:
+            raise UsageError(f"{path}: repeated config key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -418,9 +424,9 @@ def build_parser() -> _Parser:
         prog="meandric",
         description="Exact and Monte Carlo statistics of loop shapes in random meandric systems.",
         epilog=(
-            "Config file: plain key=value lines (comments with #); recognized keys: "
-            "workers, seed.  Flags override the config file, which overrides the "
-            f"{ENV_WORKERS} environment variable."
+            "Config file: plain key=value lines (comments with #); the keys are "
+            "workers and seed, each at most once.  Flags override the config file, "
+            f"which overrides the {ENV_WORKERS} environment variable."
         ),
     )
     parser.add_argument("--config", help="key=value config file")

@@ -11,7 +11,8 @@ and returns their heights (:func:`_dyck_walks`); the sampler rotates
 random walks into Dyck paths (:func:`_rotated_heights`).  Shape counts
 read the heights directly.  A single matching is built from its Dyck word
 by the stack bijection, :func:`dyck_to_matching`, the only place steps
-are paired.
+are paired.  :func:`arcs_noncrossing` is the one crossing test, for
+matchings and shapes alike.
 
 Vertices are 1-based throughout the package.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -33,6 +34,7 @@ __all__ = [
     "choose",
     "DyckWord",
     "NonCrossingMatching",
+    "arcs_noncrossing",
     "enumerate_dyck_words",
     "enumerate_matchings",
     "dyck_to_matching",
@@ -153,6 +155,18 @@ def _dyck_walks(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def arcs_noncrossing(arcs: Iterable[tuple[int, int]]) -> bool:
+    """True iff no two arcs (a, b), (c, d) interleave as a < c < b < d."""
+    stack: list[int] = []
+    for a, b in sorted(arcs):
+        while stack and stack[-1] < a:
+            stack.pop()
+        if stack and stack[-1] < b:
+            return False
+        stack.append(b)
+    return True
+
+
 @dataclass(frozen=True)
 class NonCrossingMatching:
     """Non-crossing perfect matching of ``{1, ..., 2n}``.
@@ -174,15 +188,8 @@ class NonCrossingMatching:
                 raise InvalidMatchingError(f"vertex {v} pairs with invalid {w}")
             if p[w] != v:
                 raise InvalidMatchingError(f"pairing is not an involution at {v}")
-        # Stack check: arcs close in the reverse order they open.
-        stack: list[int] = []
-        for v in range(1, m + 1):
-            if p[v] > v:
-                stack.append(v)
-            else:
-                if not stack or stack[-1] != p[v]:
-                    raise InvalidMatchingError(f"arcs cross near vertex {v}")
-                stack.pop()
+        if not arcs_noncrossing(self.arcs()):
+            raise InvalidMatchingError("arcs cross")
 
     @property
     def size(self) -> int:

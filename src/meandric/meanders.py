@@ -5,21 +5,23 @@ matchings of ``{1, ..., 2n}``: drawing the upper matching's arcs above the
 horizontal axis and the lower matching's arcs below it yields a family of
 disjoint closed loops crossing the axis exactly at ``1..2n``.  Each loop is
 a connected component; its translation-normalized combinatorial type is a
-shape.  This module traces loops, extracts and validates shapes, counts
-occurrences of a given shape (by tracing, and by :func:`arcs_at`, the
-vectorized arc test on Dyck path heights that the sampler and the oracle
-share), and enumerates all shapes of a given half-length.
+shape.  This module traces loops (one walk, ``_loop``, serves
+:func:`components` and the connectivity check of :class:`Shape`), extracts
+and validates shapes, counts occurrences of a given shape (by tracing, and
+by :func:`arcs_at`, the vectorized arc test on Dyck path heights that the
+sampler and the oracle share), and enumerates all shapes of a given
+half-length.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .combinatorics import NonCrossingMatching, enumerate_matchings
+from .combinatorics import NonCrossingMatching, arcs_noncrossing, enumerate_matchings
 from .errors import CapExceededError, InvalidMatchingError, InvalidShapeError
 
 __all__ = [
@@ -34,7 +36,6 @@ __all__ = [
     "arcs_at",
     "count_shape",
     "enumerate_shapes",
-    "arcs_noncrossing",
     "DEFAULT_SHAPE_CAP",
 ]
 
@@ -81,18 +82,6 @@ class Component:
         return (self.right - self.left + 1) // 2
 
 
-def arcs_noncrossing(arcs: Iterable[tuple[int, int]]) -> bool:
-    """True iff no two arcs (a, b), (c, d) interleave as a < c < b < d."""
-    stack: list[int] = []
-    for a, b in sorted(arcs):
-        while stack and stack[-1] < a:
-            stack.pop()
-        if stack and stack[-1] < b:
-            return False
-        stack.append(b)
-    return True
-
-
 @dataclass(frozen=True)
 class Shape:
     """A normalized connected loop.
@@ -137,18 +126,11 @@ class Shape:
                 raise InvalidShapeError(f"matching: {name} arcs do not cover the support")
             if not arcs_noncrossing(arcs):
                 raise InvalidShapeError(f"crossing: {name} arcs cross")
-        # Connectivity: the alternating upper/lower walk from the leftmost
-        # point must visit the whole support before closing.
+        # Connectivity: the loop through the leftmost point must be the
+        # whole support.
         up = dict(self.upper) | {b: a for a, b in self.upper}
         lo = dict(self.lower) | {b: a for a, b in self.lower}
-        v, on_upper, visited = supp[0], True, 0
-        while True:
-            v = up[v] if on_upper else lo[v]
-            on_upper = not on_upper
-            visited += 1
-            if v == supp[0] and on_upper:
-                break
-        if visited != len(supp):
+        if len(_loop(supp[0], up, lo)) != len(supp):
             raise InvalidShapeError("connectivity: arcs split into more than one loop")
 
     @property
@@ -222,25 +204,33 @@ def parse_shape(text: str) -> Shape:
 # ---------------------------------------------------------------------------
 
 
+def _loop(
+    v: int, up: Mapping[int, int] | Sequence[int], lo: Mapping[int, int] | Sequence[int]
+) -> list[int]:
+    """Vertices of the loop through v, in the order of the walk that leaves
+    v by its upper arc and alternates upper and lower arcs until it is
+    back at v; ``up[w]`` / ``lo[w]`` are w's partners in each half-plane."""
+    loop = []
+    w, on_upper = v, True
+    while True:
+        loop.append(w)
+        w = up[w] if on_upper else lo[w]
+        on_upper = not on_upper
+        if w == v and on_upper:
+            return loop
+
+
 def components(system: MeandricSystem) -> list[Component]:
     """All loops, listed by increasing leftmost vertex; supports partition
     the vertex set, computed in one O(n) sweep."""
     up, lo = system.upper.partner, system.lower.partner
-    seen = bytearray(2 * system.size + 1)
+    seen: set[int] = set()
     out = []
     for v in range(1, 2 * system.size + 1):
-        if seen[v]:
-            continue
-        support = []
-        w, on_upper = v, True
-        while True:
-            seen[w] = 1
-            support.append(w)
-            w = up[w] if on_upper else lo[w]
-            on_upper = not on_upper
-            if w == v and on_upper:
-                break
-        out.append(Component(tuple(sorted(support))))
+        if v not in seen:
+            support = _loop(v, up, lo)
+            seen.update(support)
+            out.append(Component(tuple(sorted(support))))
     return out
 
 

@@ -274,7 +274,7 @@ def block_spectrum(
 class MomentReport:
     """Exact-vs-formula comparison for one (n, r, shape).
 
-    ``formula_moment`` is absent for weak shapes with r >= 2, where the
+    ``formula_moment`` is absent for every weak shape, where the
     strong-shape closed form does not apply; the universal lower bound
     ``r! * disjoint_moment_term`` is always present.  ``distribution`` is
     the :func:`exact_distribution` the exact moment was taken from.

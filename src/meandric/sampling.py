@@ -173,7 +173,8 @@ def _count_rows(up: np.ndarray, lo: np.ndarray, shape: Shape) -> np.ndarray:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One Monte Carlo run: count a shape in ``sample_count`` uniform
-    systems of size n at the given seed."""
+    systems of size n at the given seed.  At least two samples are needed
+    for the sample variance."""
 
     n: int
     sample_count: int
@@ -184,8 +185,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
+        if self.sample_count < 2:
+            raise ValueError("sample_count must be >= 2")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed {self.seed} outside [0, 2**64)")
         if self.shape.half_length > self.n:
@@ -228,7 +229,7 @@ class SampleSummary:
     the integer-lattice artifact (the counts live on a lattice whose
     spacing does not shrink with the sample size, which inflates any
     continuous-distribution test; the dithered statistic is the one
-    gates should use).
+    gates should use).  The raw statistic is None when all counts are equal.
     """
 
     n: int
@@ -245,7 +246,7 @@ class SampleSummary:
     z_mean: float
     z_variance: float
     ad_statistic: float
-    ad_statistic_raw: float
+    ad_statistic_raw: float | None
     ad_pass: bool
 
     def to_json_dict(self) -> dict:
@@ -320,7 +321,7 @@ def summarize_samples(cfg: ExperimentConfig, xs: np.ndarray) -> SampleSummary:
     total = cfg.sample_count
 
     mean, m2, m3, m4 = _central_moments(histogram, total)
-    variance = m2 * total / (total - 1) if total > 1 else Fraction(0)
+    variance = m2 * total / (total - 1)
     skew = float(m3) / float(m2) ** 1.5 if m2 > 0 else 0.0
     exkurt = float(m4) / float(m2) ** 2 - 3 if m2 > 0 else 0.0
 
@@ -334,7 +335,7 @@ def summarize_samples(cfg: ExperimentConfig, xs: np.ndarray) -> SampleSummary:
     gen = np.random.Generator(np.random.Philox(key=_philox_key(cfg.seed, _DITHER_STREAM, 0)))
     dithered = sorted_values + gen.random(total) - 0.5
     ad = anderson_darling_statistic(dithered)
-    ad_raw = anderson_darling_statistic(sorted_values)
+    ad_raw = anderson_darling_statistic(sorted_values) if m2 > 0 else None
 
     return SampleSummary(
         n=cfg.n,
@@ -403,29 +404,27 @@ def _dyck_codes(heights: np.ndarray) -> np.ndarray:
     return up @ (1 << np.arange(up.shape[1], dtype=np.int64))
 
 
-def _uniformity_chunk(args: tuple[int, int, int, int, np.ndarray]) -> np.ndarray:
-    n, seed, start, stop, codes = args
-    order = np.argsort(codes)
-    out = np.zeros(codes.size, dtype=np.int64)
+def _uniformity_chunk(args: tuple[int, int, int, int]) -> np.ndarray:
+    n, seed, start, stop = args
+    out = np.zeros(1 << 2 * n, dtype=np.int64)
     for lo, hi in _blocks(n, start, stop):
-        heights = _height_rows(n, seed, UPPER_STREAM, lo, hi)
-        drawn = _dyck_codes(heights)
-        out += np.bincount(order[np.searchsorted(codes[order], drawn)], minlength=codes.size)
+        drawn = _dyck_codes(_height_rows(n, seed, UPPER_STREAM, lo, hi))
+        out += np.bincount(drawn, minlength=out.size)
     return out
 
 
 def matching_uniformity(n: int, draws: int, seed: int, worker_count: int = 1) -> UniformityReport:
     """Draw matchings and chi-square the observed counts over all
-    ``catalan(n)`` outcomes against exact uniformity."""
+    ``catalan(n)`` outcomes against exact uniformity.  A drawn path that
+    is no Dyck path of size n raises :class:`MeandricError`."""
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
-    codes = _dyck_codes(_dyck_walks(n))
     chunk = 50_000
-    chunks = [
-        (n, seed, start, min(start + chunk, draws), codes) for start in range(0, draws, chunk)
-    ]
+    chunks = [(n, seed, start, min(start + chunk, draws)) for start in range(0, draws, chunk)]
     parts = _run_chunks(_uniformity_chunk, chunks, worker_count)
-    counts = np.sum(parts, axis=0)
+    counts = np.sum(parts, axis=0)[_dyck_codes(_dyck_walks(n))]
+    if counts.sum() != draws:
+        raise MeandricError(f"{counts.sum()} of {draws} draws are Dyck paths of size {n}")
     stat, p = chi_square_uniformity(counts)
     return UniformityReport(
         n=n, draws=draws, seed=seed, counts=tuple(int(c) for c in counts), statistic=stat, p_value=p

@@ -188,7 +188,9 @@ def check_asymptotic_consistency() -> tuple[bool, str]:
 def check_hypotheses_all_shapes(ell_max: int = 3) -> tuple[bool, str]:
     """The moment-criterion hypotheses hold for every shape of
     half-length <= ell_max at n=10**6 (mean scale linear in n, exclusion
-    scale 1/n)."""
+    scale 1/n).  It cannot fail on its own: ``mu_n * s_n`` is exactly
+    ``variance / mean - 1`` at every n, so it passes whenever
+    :func:`clt_parameters` has not already raised on a variance <= 0."""
     n = 10**6
     for shape in _shapes_up_to(ell_max):
         params = clt_parameters(shape)

@@ -71,12 +71,56 @@ def test_weak_l5_pair_faces(weak_l5):
     assert decomp.open_upper == 2 and decomp.open_lower == 2
 
 
-def test_face_counts_partition_free_vertices():
-    for shape in all_shapes(3):
+def reference_faces(placement):
+    """The face decomposition of placed copies, or the prefix of the error
+    it raises, from the definitions: each free vertex belongs to the
+    shortest arc enclosing it, and two arcs cross when they interleave."""
+    upper, lower, support = [], [], []
+    for shape, offset in placement:
+        shift = offset - 1
+        upper += [(a + shift, b + shift) for a, b in shape.upper]
+        lower += [(a + shift, b + shift) for a, b in shape.lower]
+        support += [v + shift for v in shape.support]
+    if len(set(support)) != len(support):
+        return "support:"
+    for arcs in (upper, lower):
+        if any(a < c < b < d for a, b in arcs for c, d in arcs):
+            return "crossing:"
+    free = [v for v in range(min(support), max(support) + 1) if v not in support]
+
+    def faces(arcs):
+        counts, open_count = {}, 0
+        for v in free:
+            enclosing = [(a, b) for a, b in arcs if a < v < b]
+            if enclosing:
+                arc = min(enclosing, key=lambda ab: ab[1] - ab[0])
+                counts[arc] = counts.get(arc, 0) + 1
+            else:
+                open_count += 1
+        return tuple(sorted(counts.items())), open_count
+
+    (up, open_up), (lo, open_lo) = faces(upper), faces(lower)
+    return analysis.FaceDecomposition(up, lo, open_up, open_lo)
+
+
+def test_face_counts_partition_free_vertices(strong_l6, weak_l5):
+    for shape in all_shapes(4) + [strong_l6, weak_l5]:
         decomp = face_decomposition(shape)
         free = len(shape.free_vertices())
         assert sum(c for _, c in decomp.upper) + decomp.open_upper == free
         assert sum(c for _, c in decomp.lower) + decomp.open_lower == free
+        # One, two and three copies; the third sits just right of the second.
+        ell = shape.half_length
+        placements = [[(shape, 1)]]
+        for offset in range(2, 2 * ell + 4):
+            placements.append([(shape, 1), (shape, offset)])
+            placements.append([(shape, 1), (shape, offset), (shape, 2 * ell + offset)])
+        for placement in placements:
+            try:
+                got = face_decomposition(placement)
+            except InvalidShapeError as exc:
+                got = str(exc).split()[0]
+            assert got == reference_faces(placement), placement
 
 
 def test_face_decomposition_rejects_crossing(loop1, weak_l5):

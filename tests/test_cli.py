@@ -5,10 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 import meandric
-from meandric.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, main
+from meandric.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, main, payload_schema
 from meandric.verify import WEAK_L5
 
 LOOP = "supp=1,2;up=1-2;lo=1-2"
@@ -219,6 +220,27 @@ def test_sample_gate_failure_exit_code(tmp_path):
     assert doc["payload"]["gates"]["pass"] is False
 
 
+def test_sample_of_equal_counts_is_strict_json():
+    # At n = 5 the half-length-5 weak shape must span the whole base, and
+    # seed 0 draws it in none of the 20 systems: the raw normality statistic
+    # has no value, so it is written as null, not as NaN (which is not
+    # JSON), and nothing warns.
+    env = {**os.environ, "PYTHONPATH": str(Path(meandric.__file__).parents[1])}
+    argv = ["sample", "--n", "5", "--samples", "20", "--shape", WEAK_L5, "--seed", "0"]
+    run = subprocess.run(
+        [sys.executable, "-m", "meandric.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert (run.returncode, run.stderr) == (EXIT_OK, "")
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    payload = json.loads(run.stdout, parse_constant=reject)["payload"]
+    assert payload["histogram"] == {"0": 20}
+    assert payload["adStatisticRaw"] is None
+    jsonschema.validate(payload, payload_schema("sample"))
+
+
 def test_sample_shape_too_large(capsys):
     code, out, err = run_cli(
         capsys, "sample", "--n", "3", "--samples", "10", "--shape", WEAK_L5, "--seed", "0"
@@ -232,7 +254,8 @@ def test_sample_shape_too_large(capsys):
     [
         ("--seed", "-1", "seed -1 outside [0, 2**64)"),
         ("--seed", str(2**64), f"seed {2**64} outside [0, 2**64)"),
-        ("--samples", "0", "sample_count must be >= 1"),
+        ("--samples", "0", "sample_count must be >= 2"),
+        ("--samples", "1", "sample_count must be >= 2"),
         ("--workers", "0", "worker_count must be >= 1"),
         ("--n", "0", "n must be >= 1, got 0"),
         ("--n", "-5", "n must be >= 1, got -5"),
@@ -327,6 +350,14 @@ def test_cap_exceeded_is_refused(capsys, tmp_path, monkeypatch, argv, message):
             ["--config", "latin1.cfg", "shapes", "--half-length", "1"],
             "latin1.cfg is not UTF-8 text: invalid continuation byte at byte 9",
         ),
+        (
+            ["--config", "typo.cfg", "shapes", "--half-length", "1"],
+            "typo.cfg: unknown config key 'wrkers'",
+        ),
+        (
+            ["--config", "twice.cfg", "shapes", "--half-length", "1"],
+            "twice.cfg: repeated config key 'seed'",
+        ),
         (["shapes", "--half-length", "0"], "half-length must be >= 1, got 0"),
         (
             ["constants", "--shape", "supp=1,2;up=1-2"],
@@ -367,6 +398,8 @@ def test_cap_exceeded_is_refused(capsys, tmp_path, monkeypatch, argv, message):
         "replay-dir",
         "config-dir",
         "config-not-utf8",
+        "config-unknown-key",
+        "config-repeated-key",
         "shapes-half-length-0",
         "constants-bad-shape",
         "shapes-parse-bogus",
@@ -392,6 +425,8 @@ def test_bad_path_or_input_is_usage_error(capsys, tmp_path, monkeypatch, argv, m
     )
     (tmp_path / "folder").mkdir()
     (tmp_path / "latin1.cfg").write_bytes(b"seed = 1 \xe9\n")
+    (tmp_path / "typo.cfg").write_text("seed = 1\nwrkers = 2\n")
+    (tmp_path / "twice.cfg").write_text("seed = 1\nseed = 2\n")
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE
     assert out == ""

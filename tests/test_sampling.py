@@ -140,6 +140,15 @@ def test_uniformity_needs_draws():
             matching_uniformity(3, draws, seed=1)
 
 
+def test_uniformity_refuses_non_dyck_codes(monkeypatch):
+    # Heights 0,-1,0,1,0 step down first: their code 0b0110 is no Dyck
+    # path of size 2, so it must not be counted as a neighbouring outcome.
+    rows = np.array([[0, -1, 0, 1, 0], [0, 1, 0, 1, 0]])
+    monkeypatch.setattr(sampling, "_height_rows", lambda n, seed, stream, lo, hi: rows[: hi - lo])
+    with pytest.raises(MeandricError, match="1 of 2 draws are Dyck paths of size 2"):
+        matching_uniformity(2, 2, seed=1)
+
+
 def test_run_experiment_summary(loop1):
     cfg = ExperimentConfig(n=400, sample_count=3000, shape=loop1, seed=15)
     summary = run_experiment(cfg)
