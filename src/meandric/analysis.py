@@ -345,11 +345,11 @@ def closed_form_pair_probability(n: int, offset: int, shape: Shape) -> Fraction:
     vertices between them open into both unbounded faces and cancel out
     of both Catalan indices.  Zero when the pair does not fit in ``[2n]``.
     """
+    if offset < 2:
+        raise ValueError(f"offset must be >= 2, got {offset}")
     ell = shape.half_length
     if 2 * ell + offset - 1 > 2 * n:
         return Fraction(0)
-    if offset < 2:
-        raise ValueError(f"offset must be >= 2, got {offset}")
     c = shape_constants(shape)
     if offset > 2 * ell:
         return _placement_probability(
@@ -364,21 +364,25 @@ def closed_form_pair_probability(n: int, offset: int, shape: Shape) -> Fraction:
 
 
 def factorial_moment_strong(n: int, r: int, shape: Shape) -> Fraction:
-    """Exact r-th factorial moment of the count of a strong shape in a
-    uniform size-n system.
+    """Exact r-th factorial moment of the shape count in a uniform size-n
+    system, wherever the closed form applies.
 
-    For a strong shape every r-tuple of copies is non-overlapping, so the
-    moment equals ``r! *`` :func:`disjoint_moment_term`.  Weak shapes are
-    rejected: their higher moments also take contributions from
-    overlapping tuples.
+    The closed form is ``r! *`` :func:`disjoint_moment_term`, exact when no
+    r-tuple of copies can overlap: for a strong shape at every r, and for
+    any shape at r <= 1.  A weak shape at r >= 2 raises
+    :class:`WeakShapeError`, since its moment also takes contributions from
+    overlapping tuples.  This is the one place that decides where the
+    closed form applies.
     """
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
     c = shape_constants(shape)
-    if not c.is_strong:
+    if not c.is_strong and r >= 2:
         raise WeakShapeError(
-            "factorial_moment_strong needs a strong shape; copies of this shape "
-            f"can overlap at offsets {[o.offset for o in c.overlaps]}"
+            "the closed-form factorial moment assumes a strong shape (copies can "
+            "never overlap); this shape is weak at offsets "
+            f"{[o.offset for o in c.overlaps]}, so only r <= 1 or the "
+            "exact/asymptotic modes apply"
         )
     return math.factorial(r) * disjoint_moment_term(n, r, shape)
 

@@ -13,8 +13,8 @@ to reproduce the payload byte for byte.
 
 Exit codes: 0 success, 2 statistical gate failure, 3 invariant violation,
 4 usage error or refused input (shape text that is not a valid shape, a
-shape too large for the size, a weak shape's closed form, a size above a
-cap).
+shape too large for the size, a weak shape's closed form at r >= 2, a
+size above a cap).
 
 Moments are exact rationals; their log deltas are taken from numerator and
 denominator, so a moment beyond the float range still has a finite one.
@@ -26,7 +26,6 @@ import argparse
 import datetime
 import hashlib
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -36,7 +35,7 @@ from . import __version__
 from .analysis import (
     _log_fraction,
     constants_report,
-    disjoint_moment_term,
+    disjoint_moment_term,  # noqa: F401  (perfbench/tracing.py wraps this global)
     factorial_moment_strong,
     fraction_json,
     log_factorial_moment_asymptotic,
@@ -239,17 +238,7 @@ def _moments_payload(params: dict) -> tuple[dict, dict[int, int] | None]:
         payload["lowerBoundRFr"] = fraction_json(report.lower_bound)
         values["exact"] = report.exact_moment
     if "formula" in modes:
-        if not constants.is_strong and r >= 2:
-            raise WeakShapeError(
-                "the closed-form factorial moment assumes a strong shape (copies can "
-                "never overlap); this shape is weak at offsets "
-                f"{[o.offset for o in constants.overlaps]}, so only r <= 1 or the "
-                "exact/asymptotic modes apply"
-            )
-        if constants.is_strong:
-            formula = factorial_moment_strong(n, r, shape)
-        else:  # weak with r <= 1: single copies cannot overlap
-            formula = math.factorial(r) * disjoint_moment_term(n, r, shape)
+        formula = factorial_moment_strong(n, r, shape)
         payload["formulaMoment"] = fraction_json(formula)
         values["formula"] = formula
     if "asymptotic" in modes:

@@ -25,8 +25,8 @@ class InvalidShapeError(MeandricError, ValueError):
 
 
 class WeakShapeError(MeandricError, ValueError):
-    """A closed-form result valid only for strong shapes was requested
-    for a shape whose copies can overlap."""
+    """A closed-form result that needs non-overlapping copies was
+    requested of a weak shape at an order (r >= 2) where copies overlap."""
 
 
 class CapExceededError(MeandricError, ValueError):

@@ -274,8 +274,8 @@ def block_spectrum(
 class MomentReport:
     """Exact-vs-formula comparison for one (n, r, shape).
 
-    ``formula_moment`` is absent for every weak shape, where the
-    strong-shape closed form does not apply; the universal lower bound
+    ``formula_moment`` is absent for every weak shape (at r <= 1 the
+    closed form would equal the lower bound); the universal lower bound
     ``r! * disjoint_moment_term`` is always present.  ``distribution`` is
     the :func:`exact_distribution` the exact moment was taken from.
     """
@@ -302,8 +302,8 @@ class MomentReport:
 
 
 def moment_report(n: int, r: int, shape: Shape, size_cap: int = DEFAULT_SIZE_CAP) -> MomentReport:
-    """Assemble the exact moment, the closed form where it applies, and
-    the universal lower bound; enforce their relations."""
+    """Assemble the exact moment, the strong-shape closed form, and the
+    universal lower bound; enforce their relations."""
     distribution = exact_distribution(n, shape, size_cap)
     exact = _factorial_moment(distribution, n, r)
     constants = shape_constants(shape)

@@ -229,7 +229,9 @@ class SampleSummary:
     the integer-lattice artifact (the counts live on a lattice whose
     spacing does not shrink with the sample size, which inflates any
     continuous-distribution test; the dithered statistic is the one
-    gates should use).  The raw statistic is None when all counts are equal.
+    gates should use).  The skewness, the excess kurtosis and the raw
+    statistic are None when all counts are equal: they divide by a zero
+    variance there.
     """
 
     n: int
@@ -239,8 +241,8 @@ class SampleSummary:
     histogram: tuple[tuple[int, int], ...]
     mean: float
     variance: float
-    skewness: float
-    excess_kurtosis: float
+    skewness: float | None
+    excess_kurtosis: float | None
     predicted_mean: float
     predicted_variance: float
     z_mean: float
@@ -322,8 +324,8 @@ def summarize_samples(cfg: ExperimentConfig, xs: np.ndarray) -> SampleSummary:
 
     mean, m2, m3, m4 = _central_moments(histogram, total)
     variance = m2 * total / (total - 1)
-    skew = float(m3) / float(m2) ** 1.5 if m2 > 0 else 0.0
-    exkurt = float(m4) / float(m2) ** 2 - 3 if m2 > 0 else 0.0
+    skew = float(m3) / float(m2) ** 1.5 if m2 > 0 else None
+    exkurt = float(m4) / float(m2) ** 2 - 3 if m2 > 0 else None
 
     params = clt_parameters(cfg.shape)
     pred_mean = cfg.n * params.mean
@@ -439,7 +441,7 @@ def matching_uniformity(n: int, draws: int, seed: int, worker_count: int = 1) ->
 @dataclass(frozen=True)
 class GateCheck:
     name: str
-    value: float
+    value: float | None
     requirement: str
     passed: bool
 
@@ -467,8 +469,8 @@ def evaluate_gates(summary: SampleSummary, profile: str = "full") -> GateReport:
 
     ``meanvar``: per-vertex mean within 0.002 absolute of the predicted
     coefficient, and variance within 5 percent of the prediction.
-    ``full`` adds the skewness bound 0.1 and the normality gate at the
-    1% level.
+    ``full`` adds the skewness bound 0.1, which an undefined skewness
+    fails, and the normality gate at the 1% level.
     """
     if profile not in ("meanvar", "full"):
         raise ValueError(f"unknown gate profile {profile!r}")
@@ -479,9 +481,8 @@ def evaluate_gates(summary: SampleSummary, profile: str = "full") -> GateReport:
         GateCheck("variance-ratio", var_ratio, "in [0.95, 1.05]", 0.95 <= var_ratio <= 1.05),
     ]
     if profile == "full":
-        checks.append(
-            GateCheck("skewness", summary.skewness, "|skewness| < 0.1", abs(summary.skewness) < 0.1)
-        )
+        skew = summary.skewness
+        checks.append(GateCheck("skewness", skew, "|skewness| < 0.1", skew is not None and abs(skew) < 0.1))
         checks.append(
             GateCheck(
                 "normality",

@@ -4,8 +4,10 @@ pytest acceptance suite.
 Each check returns ``(ok, detail)``.  The ``small`` suite covers the
 exact identities at half-length <= 2 up to n=7 and the fast numeric
 consistency checks; ``full`` takes the exact identities to n=10 and adds
-the size-10 weak-shape checks, the half-length-3 scans, the sampler
-gates, and the tightness profile.
+the size-10 weak-shape checks, the half-length-3 scan, the sampler
+gates, and the tightness profile.  The growth-inequality scan is also
+the check of the CLT hypothesis: it builds every shape's CLT parameters,
+which refuse a variance coefficient that is not positive.
 
 The tightness check evaluates each shape at the size where
 ``n * mean_coefficient / half_length`` takes one fixed value, because
@@ -24,7 +26,6 @@ from fractions import Fraction
 from .analysis import (
     _catalan_quotient,
     _log_fraction,
-    clt_hypothesis_check,
     clt_parameters,
     disjoint_moment_term,
     factorial_moment_strong,
@@ -157,11 +158,15 @@ def check_growth_inequality(ell_max: int = 3) -> tuple[bool, str]:
     """Exact big-integer inequality: face_weight * (4*ell - 1) is below
     the normalizer 4**(2*ell - open_upper - open_lower), for every shape
     of half-length up to ``ell_max``; with it, the open pair counts stay
-    below ell.  :func:`shape_constants` checks both and raises
-    :class:`ShapeInvariantError` for a shape that breaks one."""
+    below ell, and the CLT mean and variance coefficients are positive.
+    :func:`shape_constants` checks the first two and
+    :func:`clt_parameters` the last; each raises
+    :class:`ShapeInvariantError` for a shape that breaks one.  The
+    positive variance is the Gao-Wormald hypothesis ``1 + mu_n s_n > 0``:
+    ``mu_n s_n`` is exactly ``variance / mean - 1`` at every n."""
     shapes = _shapes_up_to(ell_max)
     for shape in shapes:
-        shape_constants(shape)
+        clt_parameters(shape)
     return True, f"{len(shapes)} shapes checked up to half-length {ell_max}"
 
 
@@ -183,23 +188,6 @@ def check_asymptotic_consistency() -> tuple[bool, str]:
     ratio_gap = abs(_log_fraction(_catalan_quotient(n - r, n)) + 2 * r * math.log(2))
     worst = max(worst, ratio_gap)
     return worst < 0.01, f"worst log gap {worst:.3e} (catalan ratio gap {ratio_gap:.3e})"
-
-
-def check_hypotheses_all_shapes(ell_max: int = 3) -> tuple[bool, str]:
-    """The moment-criterion hypotheses hold for every shape of
-    half-length <= ell_max at n=10**6 (mean scale linear in n, exclusion
-    scale 1/n).  It cannot fail on its own: ``mu_n * s_n`` is exactly
-    ``variance / mean - 1`` at every n, so it passes whenever
-    :func:`clt_parameters` has not already raised on a variance <= 0."""
-    n = 10**6
-    for shape in _shapes_up_to(ell_max):
-        params = clt_parameters(shape)
-        c = shape_constants(shape)
-        mu_n = Fraction(n) * params.mean
-        s_n = Fraction(-(4 * c.half_length - 1) + 2 * c.correction_sum, 2 * n)
-        if not clt_hypothesis_check(mu_n, s_n).all_pass:
-            return False, f"hypothesis fails for {shape}"
-    return True, f"all shapes up to half-length {ell_max}"
 
 
 def check_sampler_uniformity(worker_count: int = 1) -> tuple[bool, str]:
@@ -300,12 +288,10 @@ def run_suite(suite: str, worker_count: int = 1, echo: bool = False) -> list[tup
         ("first-moment-all-shapes", lambda: check_first_moment_all_shapes(n_max=n_max)),
         ("growth-inequality", lambda: check_growth_inequality(ell_max=2)),
         ("asymptotic-consistency", check_asymptotic_consistency),
-        ("hypothesis-checks", lambda: check_hypotheses_all_shapes(ell_max=2)),
     ]
     full_extra = [
         ("weak-shape-structure", check_weak_shape_structure),
         ("growth-inequality-l3", lambda: check_growth_inequality(ell_max=3)),
-        ("hypothesis-checks-l3", lambda: check_hypotheses_all_shapes(ell_max=3)),
         (
             "sampler-uniformity",
             lambda: check_sampler_uniformity(worker_count=worker_count),

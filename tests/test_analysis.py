@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from meandric import analysis
+from meandric import analysis, verify
 from meandric.analysis import (
     closed_form_pair_probability,
     clt_hypothesis_check,
@@ -20,6 +20,7 @@ from meandric.analysis import (
 from meandric.combinatorics import catalan, falling_factorial
 from meandric.errors import InvalidShapeError, ShapeInvariantError, WeakShapeError
 from meandric.meanders import enumerate_shapes, simple_loop
+from meandric.oracle import exact_factorial_moment
 
 
 def all_shapes(ell_max):
@@ -183,6 +184,10 @@ def test_clt_positivity_is_checked(loop1, monkeypatch):
     monkeypatch.setattr(analysis, "shape_constants", lambda shape: empty)
     with pytest.raises(ShapeInvariantError, match="must both be positive"):
         clt_parameters(loop1)
+    # The growth-inequality scan builds every shape's CLT parameters, so it
+    # is the verify check of the positive variance.
+    with pytest.raises(ShapeInvariantError, match="must both be positive"):
+        verify.check_growth_inequality(ell_max=1)
 
 
 def test_all_half_length_2_shapes_are_strong():
@@ -282,7 +287,12 @@ def test_factorial_moment_equals_scaled_disjoint_term(strong_l6):
 
 
 def test_factorial_moment_rejects_weak(weak_l5):
-    with pytest.raises(WeakShapeError):
+    # No r-tuple of copies can overlap at r <= 1, so the closed form holds
+    # for a weak shape there; from r = 2 it is refused.
+    for n in range(5, 9):
+        for r in (0, 1):
+            assert factorial_moment_strong(n, r, weak_l5) == exact_factorial_moment(n, r, weak_l5)
+    with pytest.raises(WeakShapeError, match="weak at offsets \\[7\\]"):
         factorial_moment_strong(8, 2, weak_l5)
 
 
@@ -313,6 +323,10 @@ def test_pair_probability_against_full_catalan(strong_l6, weak_l5):
     assert positive > 0 and cases > positive
     # Far beyond the oracle's sizes.
     assert closed_form_pair_probability(10**4, 7, weak_l5) == reference(10**4, 7, weak_l5) > 0
+    # An offset below 2 is refused whether or not the pair fits.
+    for n in (1, 5):
+        with pytest.raises(ValueError, match="offset must be >= 2, got 0"):
+            closed_form_pair_probability(n, 0, weak_l5)
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,11 @@ def test_moments_weak_formula_refused(capsys):
         capsys, "moments", "--mode", "formula", "--n", "8", "--r", "2", "--shape", WEAK_L5
     )
     assert code == EXIT_USAGE
-    assert "strong shape" in err
+    assert err == (
+        "refused: the closed-form factorial moment assumes a strong shape (copies can "
+        "never overlap); this shape is weak at offsets [7], so only r <= 1 or the "
+        "exact/asymptotic modes apply\n"
+    )
 
 
 def test_moments_asymptotic_delta(capsys):
@@ -222,23 +226,33 @@ def test_sample_gate_failure_exit_code(tmp_path):
 
 def test_sample_of_equal_counts_is_strict_json():
     # At n = 5 the half-length-5 weak shape must span the whole base, and
-    # seed 0 draws it in none of the 20 systems: the raw normality statistic
-    # has no value, so it is written as null, not as NaN (which is not
-    # JSON), and nothing warns.
+    # seed 0 draws it in none of the 20 systems: the raw normality
+    # statistic, the skewness and the excess kurtosis have no value, so
+    # they are written as null, not as NaN (which is not JSON) or as the
+    # Gaussian's 0, and nothing warns.  The full gate fails the undefined
+    # skewness; its variance ratio fails too.
     env = {**os.environ, "PYTHONPATH": str(Path(meandric.__file__).parents[1])}
     argv = ["sample", "--n", "5", "--samples", "20", "--shape", WEAK_L5, "--seed", "0"]
-    run = subprocess.run(
-        [sys.executable, "-m", "meandric.cli", *argv], env=env, capture_output=True, text=True
-    )
-    assert (run.returncode, run.stderr) == (EXIT_OK, "")
 
     def reject(constant):
         raise ValueError(f"{constant} is not JSON")
 
-    payload = json.loads(run.stdout, parse_constant=reject)["payload"]
-    assert payload["histogram"] == {"0": 20}
-    assert payload["adStatisticRaw"] is None
-    jsonschema.validate(payload, payload_schema("sample"))
+    for gate, code in (("none", EXIT_OK), ("full", EXIT_GATE)):
+        run = subprocess.run(
+            [sys.executable, "-m", "meandric.cli", *argv, "--gate", gate],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert (run.returncode, run.stderr) == (code, "")
+        payload = json.loads(run.stdout, parse_constant=reject)["payload"]
+        assert payload["histogram"] == {"0": 20}
+        assert payload["adStatisticRaw"] is payload["skewness"] is payload["excessKurtosis"] is None
+        if gate == "full":
+            checks = {c["name"]: (c["value"], c["pass"]) for c in payload["gates"]["checks"]}
+            assert checks["skewness"] == (None, False)
+            assert checks["variance-ratio"] == (0.0, False)
+        jsonschema.validate(payload, payload_schema("sample"))
 
 
 def test_sample_shape_too_large(capsys):

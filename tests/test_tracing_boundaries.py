@@ -32,3 +32,21 @@ def test_boundary_resolves(module_name, attr, span):
     target = getattr(module, attr, None)
     assert callable(target), f"{span}: {module_name} has no {attr}"
     assert target.__module__ == "meandric." + span.split(".")[0]
+
+
+PIN = "perfbench/tracing.py wraps this global"
+SOURCES = Path(__file__).resolve().parents[1] / "src" / "meandric"
+
+
+def test_pins_name_boundaries():
+    # An import kept only for the tracer carries the PIN comment; each must
+    # name a boundary, so a pin cannot outlive the boundary it serves.
+    pins = {
+        ("meandric." + path.stem, line.split("#")[0].replace(",", " ").split()[-1])
+        for path in SOURCES.glob("*.py")
+        for line in path.read_text().splitlines()
+        if PIN in line
+    }
+    assert pins
+    boundaries = {(module_name, attr) for module_name, attr, _ in BOUNDARIES}
+    assert pins <= boundaries, sorted(pins - boundaries)
