@@ -65,6 +65,24 @@ ENV_WORKERS = "MEANDRIC_WORKERS"
 # The flag that sets each library cap a CapExceededError can name.
 _CAP_FLAGS = {"size_cap": "--size-cap", "max_half_length": "--max-half-length"}
 
+_GATES = ("none", "meanvar", "full")
+
+# The type a manifest parameter must have to be replayed: the type its
+# flag parses to.  Unlisted parameters (digests of side files) are not read.
+_PARAM_TYPES = {
+    "n": int,
+    "r": int,
+    "sizeCap": int,
+    "samples": int,
+    "seed": int,
+    "halfLength": int,
+    "maxHalfLength": int,
+    "shape": str,
+    "mode": str,
+    "gate": str,
+    "parse": str,
+}
+
 
 def payload_schema(subcommand: str) -> dict:
     """The shipped JSON schema for a subcommand's payload (or for the
@@ -224,9 +242,11 @@ def _moments_payload(params: dict) -> tuple[dict, dict[int, int] | None]:
     if r < 0:
         raise UsageError(f"r must be >= 0, got {r}")
     modes = params["mode"].split(",")
-    for mode in modes:
+    for k, mode in enumerate(modes):
         if mode not in ("exact", "formula", "asymptotic"):
             raise UsageError(f"unknown mode {mode!r}")
+        if mode in modes[:k]:
+            raise UsageError(f"repeated mode {mode!r}")
     constants = shape_constants(shape)
     payload: dict = {"n": n, "r": r, "shape": format_shape(shape), "strong": constants.is_strong}
     values: dict[str, Fraction] = {}
@@ -258,6 +278,9 @@ def _moments_payload(params: dict) -> tuple[dict, dict[int, int] | None]:
 
 def _sample_config(params: dict, worker_count: int) -> ExperimentConfig:
     shape = _shape(params["shape"])
+    gate = params.get("gate", "none")
+    if gate not in _GATES:
+        raise UsageError(f"unknown gate {gate!r}; expected one of {', '.join(_GATES)}")
     try:
         return ExperimentConfig(
             n=params["n"],
@@ -387,6 +410,13 @@ def _cmd_replay(args, config) -> int:
     sub = manifest["subcommand"]
     if sub not in _REPLAYERS:
         raise UsageError(f"cannot replay subcommand {sub!r}")
+    for key, value in manifest["parameters"].items():
+        kind = _PARAM_TYPES.get(key)
+        if kind is not None and type(value) is not kind:
+            noun = "an integer" if kind is int else "a string"
+            raise UsageError(
+                f"{args.manifest}: {sub} parameter {key!r} must be {noun}, got {json.dumps(value)}"
+            )
     try:
         rebuilt = _REPLAYERS[sub](manifest["parameters"])
     except KeyError as exc:
@@ -434,7 +464,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_constants)
 
     p = sub.add_parser("moments", help="factorial moments: exact, closed form, asymptotic")
-    p.add_argument("--mode", default="exact", help="comma list of exact,formula,asymptotic")
+    p.add_argument(
+        "--mode", default="exact", help="comma list of exact,formula,asymptotic, each at most once"
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--shape", required=True)
@@ -453,7 +485,7 @@ def build_parser() -> _Parser:
     p.add_argument("--shape", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int)
-    p.add_argument("--gate", choices=["none", "meanvar", "full"], default="none")
+    p.add_argument("--gate", choices=_GATES, default="none")
     p.add_argument("--csv", help="write per-sample (position, count) rows here")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sample)

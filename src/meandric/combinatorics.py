@@ -156,9 +156,12 @@ def _dyck_walks(n: int) -> np.ndarray:
 
 
 def arcs_noncrossing(arcs: Iterable[tuple[int, int]]) -> bool:
-    """True iff no two arcs (a, b), (c, d) interleave as a < c < b < d."""
+    """True iff no two arcs (a, b), (c, d) interleave as a < c < b < d.
+
+    The arcs must ascend in a, as ``NonCrossingMatching.arcs()`` gives
+    them and as ``Shape`` checks before it calls this."""
     stack: list[int] = []
-    for a, b in sorted(arcs):
+    for a, b in arcs:
         while stack and stack[-1] < a:
             stack.pop()
         if stack and stack[-1] < b:
@@ -198,9 +201,7 @@ class NonCrossingMatching:
 
     def arcs(self) -> tuple[tuple[int, int], ...]:
         """Arcs as (a, b) with a < b, ascending in a."""
-        return tuple(
-            (v, self.partner[v]) for v in range(1, 2 * self.size + 1) if self.partner[v] > v
-        )
+        return tuple([(v, w) for v, w in enumerate(self.partner) if w > v])
 
     @classmethod
     def from_arcs(cls, arcs: Sequence[tuple[int, int]]) -> "NonCrossingMatching":

@@ -76,13 +76,18 @@ DEFAULT_SIZE_CAP = 8
 MAX_MASK_WIDTH = 23
 
 
+# Largest size whose system count a refusal spells out: catalan(20)**2 has
+# 20 digits, while near n = 3600 the count passes the 4300 digits Python
+# will print, and computing it alone costs time.
+_COUNTED_SIZE = 20
+
+
 def _check_cap(n: int, size_cap: int) -> None:
     if n < 1:
         raise ValueError(f"system size must be >= 1, got {n}")
     if n > size_cap:
-        raise CapExceededError(
-            f"size {n} above cap {size_cap} ({catalan(n)**2} systems)", override="size_cap"
-        )
+        count = f" ({catalan(n)**2} systems)" if n <= _COUNTED_SIZE else ""
+        raise CapExceededError(f"size {n} above cap {size_cap}{count}", override="size_cap")
 
 
 @lru_cache(maxsize=4)

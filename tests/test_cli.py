@@ -321,8 +321,19 @@ def test_moments_out_of_range_is_usage_error(capsys, mode, n, r, message):
             ["shapes", "--half-length", "6"],
             "half-length 6 above cap 5; pass --max-half-length to override",
         ),
+        # Past n = 20 the system count is left out: near n = 3600 it has more
+        # digits than Python will print.
+        (
+            ["moments", "--n", "1000", "--r", "2", "--shape", LOOP],
+            "size 1000 above cap 8; pass --size-cap to override",
+        ),
+        (
+            ["moments", "--mode", "exact", "--n", "4000", "--r", "2", "--shape", LOOP],
+            "size 4000 above cap 8; pass --size-cap to override",
+        ),
     ],
-    ids=["size-cap", "size-cap-csv-only", "mask-width", "max-half-length"],
+    ids=["size-cap", "size-cap-csv-only", "mask-width", "max-half-length", "size-cap-n1000",
+         "size-cap-n4000"],
 )
 def test_cap_exceeded_is_refused(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -445,6 +456,64 @@ def test_bad_path_or_input_is_usage_error(capsys, tmp_path, monkeypatch, argv, m
     assert code == EXIT_USAGE
     assert out == ""
     assert err == f"usage error: {message}\n"
+
+
+REPLAYED_MOMENTS = ["moments", "--n", "3", "--r", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv,key,value,message",
+    [
+        (REPLAYED_MOMENTS, "n", "x", "usage error: edited.json: moments parameter 'n' must be an integer, got \"x\""),
+        (REPLAYED_MOMENTS, "n", True, "usage error: edited.json: moments parameter 'n' must be an integer, got true"),
+        (REPLAYED_MOMENTS, "shape", 5, "usage error: edited.json: moments parameter 'shape' must be a string, got 5"),
+        (
+            REPLAYED_MOMENTS,
+            "mode",
+            ["exact"],
+            "usage error: edited.json: moments parameter 'mode' must be a string, got [\"exact\"]",
+        ),
+        (
+            REPLAYED_MOMENTS,
+            "sizeCap",
+            "y",
+            "usage error: edited.json: moments parameter 'sizeCap' must be an integer, got \"y\"",
+        ),
+        (
+            REPLAYED_MOMENTS,
+            "n",
+            1_000_000,
+            "refused: size 1000000 above cap 8; pass --size-cap to override",
+        ),
+        (
+            ["sample", "--n", "3", "--samples", "2", "--seed", "0"],
+            "gate",
+            "bogus",
+            "usage error: unknown gate 'bogus'; expected one of none, meanvar, full",
+        ),
+    ],
+    ids=["n-text", "n-bool", "shape-int", "mode-list", "size-cap-text", "n-above-cap", "gate-unknown"],
+)
+def test_replay_of_a_bad_parameter_exits_4(capsys, tmp_path, monkeypatch, argv, key, value, message):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--shape", LOOP, "--out", "run.json"]) == EXIT_OK
+    doc = json.loads((tmp_path / "run.json").read_text())
+    doc["manifest"]["parameters"][key] = value
+    (tmp_path / "edited.json").write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "replay", "edited.json")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"{message}\n"
+
+
+@pytest.mark.parametrize("mode", ["exact,exact", "formula,asymptotic,formula"])
+def test_moments_repeated_mode_is_usage_error(capsys, mode):
+    # Like a repeated --config key or shape field: a repeat is more likely a
+    # typo than a request, and it would name one payload field twice.
+    code, out, err = run_cli(capsys, "moments", "--mode", mode, "--n", "3", "--r", "1", "--shape", LOOP)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"usage error: repeated mode {mode.split(',')[0]!r}\n"
 
 
 @pytest.mark.parametrize(

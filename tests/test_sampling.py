@@ -1,5 +1,8 @@
 import itertools
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -374,3 +377,69 @@ def test_kernel_counts_weak_shape_match_tracing(n_left, n_right, seed, position)
     count = _count_rows(path_heights(up)[None, :], path_heights(lo)[None, :], weak)[0]
     assert count == count_shape(system, weak)
     assert count >= 2
+
+
+# ---------------------------------------------------------------------------
+# Re-keying: every draw starts where a new generator for its key starts
+# ---------------------------------------------------------------------------
+
+
+def new_generator_rows(n, seed, stream, start, stop):
+    """Heights of positions [start, stop), each drawn by a generator built
+    for its key, so nothing carries over between draws."""
+    up = []
+    for position in range(start, stop):
+        key = sampling._philox_key(seed, stream, position)
+        up.append(np.random.Generator(np.random.Philox(key=key)).permutation(2 * n + 1) < n)
+    return _rotated_heights(np.array(up))
+
+
+def plain(value):
+    """A bit generator's state with its arrays as lists."""
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+@pytest.mark.parametrize("previous_n,pending_half", [(1, 1), (3, 0), (40, 0)])
+def test_rekeying_forgets_the_previous_draw(previous_n, pending_half):
+    # The previous draw leaves a part-used buffer behind, and at n = 1 also
+    # the unused half of a 64-bit word.
+    _height_rows(previous_n, 5, UPPER_STREAM, 3, 4)
+    state = sampling._PHILOX.bitgen.state
+    assert state["buffer_pos"] < 4 and state["state"]["counter"][0] > 0
+    assert state["has_uint32"] == pending_half
+    for n, seed, position in [(5, 2**64 - 1, 123), (1, 0, 0), (40, 31, 2**60 - 4)]:
+        rows = _height_rows(n, seed, UPPER_STREAM, position, position + 3)
+        expected = new_generator_rows(n, seed, UPPER_STREAM, position, position + 3)
+        assert rows.tolist() == expected.tolist()
+
+
+def test_threads_draw_what_one_thread_draws_in_turn():
+    # Each thread keeps its own generator; sizes differ so that the states
+    # they leave behind differ too.
+    jobs = [(1, 5, UPPER_STREAM, 0, 3000), (4, 5, UPPER_STREAM, 3000, 6000),
+            (7, 2**64 - 1, LOWER_STREAM, 0, 2000), (40, 9, UPPER_STREAM, 10, 400)]
+    in_turn = [_height_rows(*job).tolist() for job in jobs]
+    start = threading.Barrier(len(jobs))
+
+    def draw(job):
+        start.wait(timeout=60)
+        return [_height_rows(*job).tolist() for _ in range(4)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-block
+    try:
+        with ThreadPoolExecutor(len(jobs)) as pool:
+            results = list(pool.map(draw, jobs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for rows, repeats in zip(in_turn, results):
+        assert all(again == rows for again in repeats)
+
+
+def test_fresh_state_is_a_new_generators_state_in_plain_ints():
+    fresh = sampling._Philox().fresh
+    assert fresh == plain(np.random.Philox(key=0).state)
+    words = [*fresh["state"]["counter"], *fresh["state"]["key"], *fresh["buffer"]]
+    assert all(type(w) is int for w in words)
