@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Tour of the basic objects: Dyck words, non-crossing matchings,
-meandric systems, loops, and shapes.
+"""Tour of the basic objects: non-crossing matchings, meandric systems,
+loops, and shapes.
 
 A meandric system of size n is a pair of non-crossing perfect matchings
 of {1, ..., 2n}: one drawn above the horizontal axis, one below.  The
@@ -9,14 +9,13 @@ type is its shape.
 """
 
 from meandric import (
-    DyckWord,
+    InvalidMatchingError,
     MeandricSystem,
     NonCrossingMatching,
     catalan,
     component_shape,
     components,
     count_shape,
-    dyck_to_matching,
     enumerate_matchings,
     enumerate_shapes,
     format_shape,
@@ -24,10 +23,13 @@ from meandric import (
     simple_loop,
 )
 
-print("=== Dyck words and matchings ===")
-word = DyckWord.from_text("UUDUDD")
-matching = dyck_to_matching(word)
-print(f"{word.to_text()}  ->  {matching.to_text()}")
+print("=== Non-crossing matchings ===")
+matching = NonCrossingMatching.from_text("1-6,2-3,4-5")
+print(f"{matching.to_text()}: {matching.size} arcs; vertex 2 pairs with {matching.partner[2]}")
+try:
+    NonCrossingMatching.from_text("1-3,2-4")
+except InvalidMatchingError as exc:
+    print("1-3,2-4 is refused:", exc)
 print(f"catalan(4) = {catalan(4)}; enumeration yields", sum(1 for _ in enumerate_matchings(4)))
 
 print()

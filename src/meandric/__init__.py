@@ -11,20 +11,15 @@ empirically with an exactly uniform sampler at large sizes.
 """
 
 from .combinatorics import (
-    DyckWord,
     NonCrossingMatching,
     catalan,
     choose,
-    dyck_to_matching,
-    enumerate_dyck_words,
     enumerate_matchings,
     falling_factorial,
-    matching_to_dyck,
 )
 from .errors import (
     CapExceededError,
     FormulaMismatchError,
-    InvalidDyckWordError,
     InvalidMatchingError,
     InvalidShapeError,
     MeandricError,

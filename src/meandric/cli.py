@@ -46,9 +46,8 @@ from .meanders import Shape, enumerate_shapes, format_shape, parse_shape
 from .oracle import moment_report
 from .sampling import (
     ExperimentConfig,
-    SampleSummary,
     evaluate_gates,
-    run_experiment,
+    run_experiment,  # noqa: F401  (perfbench/tracing.py wraps this global)
     samples_array,
     samples_csv,
     summarize_samples,
@@ -68,7 +67,7 @@ _CAP_FLAGS = {"size_cap": "--size-cap", "max_half_length": "--max-half-length"}
 _GATES = ("none", "meanvar", "full")
 
 # The type a manifest parameter must have to be replayed: the type its
-# flag parses to.  Unlisted parameters (digests of side files) are not read.
+# flag parses to.  Unlisted parameters (side-file digests) are compared.
 _PARAM_TYPES = {
     "n": int,
     "r": int,
@@ -232,9 +231,10 @@ def _constants_payload(params: dict) -> dict:
     return constants_report(_shape(params["shape"]))
 
 
-def _moments_payload(params: dict) -> tuple[dict, dict[int, int] | None]:
-    """Moments payload plus the exact count distribution, when the exact
-    mode computed one."""
+def _moments_output(params: dict, csv: bool) -> tuple[dict, str | None]:
+    """Moments payload plus, when ``csv`` is set, the exact count
+    distribution as CSV text (enumerated here unless the exact mode
+    already did)."""
     shape = _shape(params["shape"])
     n, r = params["n"], params["r"]
     if n < 1:
@@ -273,7 +273,13 @@ def _moments_payload(params: dict) -> tuple[dict, dict[int, int] | None]:
                 deltas[f"log{name.capitalize()}MinusAsymptotic"] = (
                     _log_fraction(value) - payload["asymptoticLogMoment"]
                 )
-    return payload, distribution
+    if not csv:
+        return payload, None
+    from .oracle import distribution_csv, exact_distribution
+
+    if distribution is None:
+        distribution = exact_distribution(n, shape, size_cap=params.get("sizeCap", 8))
+    return payload, distribution_csv(distribution)
 
 
 def _sample_config(params: dict, worker_count: int) -> ExperimentConfig:
@@ -293,25 +299,30 @@ def _sample_config(params: dict, worker_count: int) -> ExperimentConfig:
         raise UsageError(str(exc)) from None
 
 
-def _sample_payload(params: dict, summary: SampleSummary) -> tuple[dict, bool]:
-    """Summary payload plus the gate verdict (True when no gate fails)."""
+def _sample_output(params: dict, worker_count: int, csv: bool) -> tuple[dict, str | None]:
+    """Summary payload, with the gate verdicts when a gate is set, plus
+    the per-sample CSV text when ``csv`` is set.  The samples are drawn
+    once for both."""
+    cfg = _sample_config(params, worker_count)
+    xs = samples_array(cfg)
+    summary = summarize_samples(cfg, xs)
     payload = summary.to_json_dict()
-    ok = True
     if params.get("gate", "none") != "none":
-        gates = evaluate_gates(summary, params["gate"])
-        payload["gates"] = gates.to_json_dict()
-        ok = gates.all_pass
-    return payload, ok
+        payload["gates"] = evaluate_gates(summary, params["gate"]).to_json_dict()
+    return payload, samples_csv(xs) if csv else None
 
 
+# Each replayer takes the manifest parameters and whether to rebuild the
+# side file; results do not depend on the worker count.
 _REPLAYERS = {
-    "shapes": lambda params: _shapes_payload(params),
-    "constants": lambda params: _constants_payload(params),
-    "moments": lambda params: _moments_payload(params)[0],
-    "sample": lambda params: _sample_payload(
-        params, run_experiment(_sample_config(params, worker_count=1))
-    )[0],
+    "shapes": lambda params, csv: (_shapes_payload(params), None),
+    "constants": lambda params, csv: (_constants_payload(params), None),
+    "moments": _moments_output,
+    "sample": lambda params, csv: _sample_output(params, 1, csv),
 }
+
+# The parameter under which a subcommand records its side file's digest.
+_CSV_DIGESTS = {"moments": "distributionCsvSha256", "sample": "csvSha256"}
 
 
 # ---------------------------------------------------------------------------
@@ -344,14 +355,8 @@ def _cmd_moments(args, config) -> int:
         "mode": args.mode,
         "sizeCap": args.size_cap,
     }
-    payload, distribution = _moments_payload(params)
-    if args.distribution_csv:
-        from .oracle import distribution_csv, exact_distribution
-
-        if distribution is None:
-            shape = _shape(args.shape)
-            distribution = exact_distribution(args.n, shape, size_cap=args.size_cap)
-        text = distribution_csv(distribution)
+    payload, text = _moments_output(params, bool(args.distribution_csv))
+    if text is not None:
         _write_output(args.distribution_csv, text)
         params["distributionCsvSha256"] = hashlib.sha256(text.encode()).hexdigest()
     _emit("moments", params, payload, args.out)
@@ -368,15 +373,12 @@ def _cmd_sample(args, config) -> int:
         "seed": seed,
         "gate": args.gate,
     }
-    cfg = _sample_config(params, worker_count=workers)
-    xs = samples_array(cfg)
-    payload, gates_ok = _sample_payload(params, summarize_samples(cfg, xs))
-    if args.csv:
-        text = samples_csv(xs)
+    payload, text = _sample_output(params, workers, bool(args.csv))
+    if text is not None:
         _write_output(args.csv, text)
         params["csvSha256"] = hashlib.sha256(text.encode()).hexdigest()
     _emit("sample", params, payload, args.out)
-    return EXIT_OK if gates_ok else EXIT_GATE
+    return EXIT_OK if payload.get("gates", {"pass": True})["pass"] else EXIT_GATE
 
 
 def _cmd_verify(args, config) -> int:
@@ -417,12 +419,16 @@ def _cmd_replay(args, config) -> int:
             raise UsageError(
                 f"{args.manifest}: {sub} parameter {key!r} must be {noun}, got {json.dumps(value)}"
             )
+    params = manifest["parameters"]
+    side = _CSV_DIGESTS.get(sub)
     try:
-        rebuilt = _REPLAYERS[sub](manifest["parameters"])
+        rebuilt, text = _REPLAYERS[sub](params, side in params)
     except KeyError as exc:
         raise UsageError(f"{args.manifest}: {sub} parameters have no {exc}") from None
     digest = hashlib.sha256(_canonical(rebuilt)).hexdigest()
     ok = digest == manifest["payloadSha256"]
+    if text is not None:
+        ok = ok and hashlib.sha256(text.encode()).hexdigest() == params[side]
     payload = {
         "subcommand": sub,
         "expectedSha256": manifest["payloadSha256"],

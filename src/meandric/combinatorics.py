@@ -1,18 +1,18 @@
 """Exact integer primitives for the Catalan world.
 
-Catalan numbers, falling factorials, binomial coefficients, and the two
-elementary encodings used everywhere else in the package: Dyck words
-(balanced step sequences) and non-crossing perfect matchings of
-``{1, ..., 2n}``.  All arithmetic here is exact.
+Catalan numbers, falling factorials, binomial coefficients, and
+non-crossing perfect matchings of ``{1, ..., 2n}``.  All arithmetic here
+is exact.
 
 Matchings are handled in bulk as rows of Dyck path heights, ``H[t]``
-after t steps.  Enumeration grows all Dyck words of a size as bit codes
-and returns their heights (:func:`_dyck_walks`); the sampler rotates
-random walks into Dyck paths (:func:`_rotated_heights`).  Shape counts
-read the heights directly.  A single matching is built from its Dyck word
-by the stack bijection, :func:`dyck_to_matching`, the only place steps
-are paired.  :func:`arcs_noncrossing` is the one crossing test, for
-matchings and shapes alike.
+after t steps.  Enumeration grows all paths of a size as bit codes and
+returns their heights (:func:`_dyck_walks`); the sampler rotates random
+walks into Dyck paths (:func:`_rotated_heights`).  Shape counts read the
+heights directly.  A single matching is a :class:`NonCrossingMatching`
+partner tuple, built from one row of heights by the stack bijection,
+:func:`_matching_from_heights`, the only place steps are paired.
+:func:`arcs_noncrossing` is the one crossing test, for matchings and
+shapes alike.
 
 Vertices are 1-based throughout the package.
 """
@@ -26,19 +26,15 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidDyckWordError, InvalidMatchingError
+from .errors import InvalidMatchingError
 
 __all__ = [
     "catalan",
     "falling_factorial",
     "choose",
-    "DyckWord",
     "NonCrossingMatching",
     "arcs_noncrossing",
-    "enumerate_dyck_words",
     "enumerate_matchings",
-    "dyck_to_matching",
-    "matching_to_dyck",
 ]
 
 
@@ -70,71 +66,21 @@ def choose(n: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Dyck words
+# Dyck paths
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DyckWord:
-    """Balanced sequence of ``+1``/``-1`` steps with nonnegative prefixes.
-
-    Text form: a string over ``U`` (+1) and ``D`` (-1).
-    """
-
-    steps: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        height = 0
-        for s in self.steps:
-            if s not in (1, -1):
-                raise InvalidDyckWordError(f"step {s!r} is not +1/-1")
-            height += s
-            if height < 0:
-                raise InvalidDyckWordError("prefix sum drops below zero")
-        if height != 0:
-            raise InvalidDyckWordError("steps do not balance")
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    @property
-    def size(self) -> int:
-        """Number of up-steps (half the length)."""
-        return len(self.steps) // 2
-
-    @classmethod
-    def from_text(cls, text: str) -> "DyckWord":
-        try:
-            steps = tuple({"U": 1, "D": -1}[c] for c in text)
-        except KeyError as exc:
-            raise InvalidDyckWordError(f"bad character {exc.args[0]!r}, expected U/D") from None
-        return cls(steps)
-
-    def to_text(self) -> str:
-        return "".join("U" if s == 1 else "D" for s in self.steps)
-
-
-def enumerate_dyck_words(n: int) -> Iterator[DyckWord]:
-    """All Dyck words with ``n`` up-steps, in ascending lexicographic order
-    with ``+1`` ordered before ``-1`` (so the fully nested word comes first
-    and the alternating word last).
-
-    The words are built all at once by :func:`_dyck_walks`, which takes
-    O(catalan(n) * n) memory before the first word is yielded; callers
-    enumerate small sizes only (n <= 8 in the tests)."""
-    for steps in np.diff(_dyck_walks(n), axis=1).tolist():
-        yield DyckWord(tuple(steps))
-
-
 def _dyck_walks(n: int) -> np.ndarray:
-    """Every Dyck word with ``n`` up-steps as one int16 row of the
-    ``2n + 1`` heights of its path, in :func:`enumerate_dyck_words` order.
+    """Every Dyck path with ``n`` up-steps as one int16 row of its
+    ``2n + 1`` heights.
 
-    The words grow one step at a time as int64 codes, bit t set for an
-    up-step at t; every prefix spawns its up child, then its down child,
-    which keeps the prefixes in lexicographic order level by level."""
+    The paths grow one step at a time as int64 codes, bit t set for an
+    up-step at t; every prefix spawns its up child, then its down child.
+    So the rows come in lexicographic order of their steps with up before
+    down: the rainbow's path ``0, 1, ..., n, ..., 1, 0`` first and the
+    zigzag ``0, 1, 0, ..., 1, 0`` last."""
     if n < 0:
-        raise ValueError(f"enumerate_dyck_words undefined for n={n}")
+        raise ValueError(f"enumerate_matchings undefined for n={n}")
     codes = np.zeros(1, dtype=np.int64)
     ups = np.zeros(1, dtype=np.int64)
     height = np.zeros(1, dtype=np.int64)
@@ -231,39 +177,33 @@ class NonCrossingMatching:
         return ",".join(f"{a}-{b}" for a, b in self.arcs())
 
 
-def dyck_to_matching(word: DyckWord) -> NonCrossingMatching:
-    """Stack bijection: an up-step opens an arc, a down-step closes the
-    most recently opened one."""
-    partner = [0] * (len(word.steps) + 1)
+def _matching_from_heights(row: Sequence[int]) -> NonCrossingMatching:
+    """Stack bijection on one row of Dyck path heights: a step up opens an
+    arc, a step down closes the most recently opened one.  A row that falls
+    below 0 or ends above it raises :class:`InvalidMatchingError`."""
+    partner = [0] * len(row)
     stack: list[int] = []
-    for v, s in enumerate(word.steps, start=1):
-        if s == 1:
+    for v in range(1, len(row)):
+        if row[v] > row[v - 1]:
             stack.append(v)
-        else:
+        elif stack:
             u = stack.pop()
             partner[u] = v
             partner[v] = u
+        else:
+            raise InvalidMatchingError(f"path falls below 0 at vertex {v}")
     return NonCrossingMatching(tuple(partner))
-
-
-def matching_to_dyck(matching: NonCrossingMatching) -> DyckWord:
-    """Inverse of :func:`dyck_to_matching`."""
-    p = matching.partner
-    steps = tuple(1 if p[v] > v else -1 for v in range(1, 2 * matching.size + 1))
-    return DyckWord(steps)
 
 
 def enumerate_matchings(n: int) -> Iterator[NonCrossingMatching]:
     """All non-crossing matchings of ``[2n]``, exactly once each, in the
-    order induced by :func:`enumerate_dyck_words`.  The count is
-    ``catalan(n)``.
+    order of :func:`_dyck_walks`.  The count is ``catalan(n)``.
 
-    Like the words, the matchings take O(catalan(n) * n) memory before
-    the first one is yielded, meant for small n (n <= 8 in the tests, the
-    shape half-length in ``enumerate_shapes``, n <= 5 for the sampler's
-    uniformity check)."""
-    for word in enumerate_dyck_words(n):
-        yield dyck_to_matching(word)
+    All rows of heights are built before the first matching is yielded,
+    O(catalan(n) * n) memory, meant for small n (n <= 8 in the tests,
+    the shape half-length in ``enumerate_shapes``)."""
+    for row in _dyck_walks(n).tolist():
+        yield _matching_from_heights(row)
 
 
 def _rotated_heights(up: np.ndarray) -> np.ndarray:

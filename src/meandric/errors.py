@@ -7,10 +7,6 @@ class MeandricError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidDyckWordError(MeandricError, ValueError):
-    """Step sequence is not a balanced nonnegative walk."""
-
-
 class InvalidMatchingError(MeandricError, ValueError):
     """Pairing is not a non-crossing perfect matching."""
 

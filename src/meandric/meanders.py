@@ -137,11 +137,6 @@ class Shape:
     def half_length(self) -> int:
         return self.support[-1] // 2
 
-    def free_vertices(self) -> tuple[int, ...]:
-        """Base vertices the loop does not pass through."""
-        members = set(self.support)
-        return tuple(v for v in range(1, self.support[-1] + 1) if v not in members)
-
 
 def simple_loop() -> Shape:
     """The loop crossing the axis at two adjacent points."""

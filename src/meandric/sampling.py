@@ -4,12 +4,12 @@ Sampling recipe: draw a uniformly random arrangement of n up-steps and
 n + 1 down-steps, rotate it to start just after the first minimum of its
 prefix-sum walk (the unique rotation whose proper prefixes never go
 negative), and drop the final down-step.  The result is an exactly
-uniform balanced nonnegative step sequence, which the stack bijection
-turns into an exactly uniform non-crossing matching.  The block kernel
-keeps each walk as the heights of its rotated path and finds a shape's
-arcs on them (:func:`meandric.meanders.arcs_at`), so counting never pairs
-the steps; only :func:`sample_matching`, whose result is a matching, does,
-through :func:`meandric.combinatorics.dyck_to_matching`.
+uniform Dyck path, which the stack bijection turns into an exactly
+uniform non-crossing matching.  The block kernel keeps each walk as a row
+of the heights of its rotated path and finds a shape's arcs on them
+(:func:`meandric.meanders.arcs_at`), so counting never pairs the steps;
+only :func:`sample_matching`, whose result is a matching, does, by
+passing its row to :func:`meandric.combinatorics._matching_from_heights`.
 
 Everything is driven by counter-based (keyed Philox) randomness, so each
 draw is a pure function of ``(seed, stream, position)``: parallel workers
@@ -35,11 +35,10 @@ from scipy.special import chdtrc, ndtr
 
 from .analysis import clt_parameters
 from .combinatorics import (
-    DyckWord,
     NonCrossingMatching,
     _dyck_walks,
+    _matching_from_heights,
     _rotated_heights,
-    dyck_to_matching,
     enumerate_matchings,  # noqa: F401  (perfbench/tracing.py wraps this global)
 )
 from .errors import MeandricError
@@ -129,6 +128,15 @@ def _blocks(n: int, start: int, stop: int) -> Iterator[tuple[int, int]]:
         yield lo, min(lo + step, stop)
 
 
+def _check_size(n: int) -> None:
+    """Refuse a size the kernel cannot draw: its heights are at most
+    32-bit, so a walk of 2n + 1 steps must stay below 2**31."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if 2 * n + 1 >= 1 << 31:
+        raise ValueError(f"n must be below 2**30, got {n}")
+
+
 def _height_rows(n: int, seed: int, stream: int, start: int, stop: int) -> np.ndarray:
     """Dyck path heights of the matchings at positions [start, stop) of one
     (seed, stream), one ``2n + 1`` row each (see ``_rotated_heights``).
@@ -153,10 +161,8 @@ def _height_rows(n: int, seed: int, stream: int, start: int, stop: int) -> np.nd
 def sample_matching(n: int, position: int, seed: int, stream: int = UPPER_STREAM) -> NonCrossingMatching:
     """Exactly uniform non-crossing matching of [2n]; a pure function of
     (seed, stream, position)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    heights = _height_rows(n, seed, stream, position, position + 1)[0]
-    return dyck_to_matching(DyckWord(tuple(np.diff(heights).tolist())))
+    _check_size(n)
+    return _matching_from_heights(_height_rows(n, seed, stream, position, position + 1)[0].tolist())
 
 
 def sample_system(n: int, position: int, seed: int) -> MeandricSystem:
@@ -194,8 +200,7 @@ class ExperimentConfig:
     worker_count: int = 1
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        _check_size(self.n)
         if self.sample_count < 2:
             raise ValueError("sample_count must be >= 2")
         if not 0 <= self.seed < 1 << 64:

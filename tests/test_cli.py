@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -9,7 +10,7 @@ import jsonschema
 import pytest
 
 import meandric
-from meandric.cli import EXIT_GATE, EXIT_OK, EXIT_USAGE, main, payload_schema
+from meandric.cli import EXIT_GATE, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main, payload_schema
 from meandric.verify import WEAK_L5
 
 LOOP = "supp=1,2;up=1-2;lo=1-2"
@@ -273,6 +274,7 @@ def test_sample_shape_too_large(capsys):
         ("--workers", "0", "worker_count must be >= 1"),
         ("--n", "0", "n must be >= 1, got 0"),
         ("--n", "-5", "n must be >= 1, got -5"),
+        ("--n", str(2**30), f"n must be below 2**30, got {2**30}"),
     ],
 )
 def test_sample_out_of_range_is_usage_error(capsys, flag, value, message):
@@ -504,6 +506,33 @@ def test_replay_of_a_bad_parameter_exits_4(capsys, tmp_path, monkeypatch, argv, 
     assert code == EXIT_USAGE
     assert out == ""
     assert err == f"{message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,csv_flag,digest_key",
+    [
+        (["moments", "--mode", "exact", "--n", "4", "--r", "1"], "--distribution-csv", "distributionCsvSha256"),
+        (["moments", "--mode", "formula", "--n", "4", "--r", "1"], "--distribution-csv", "distributionCsvSha256"),
+        (["sample", "--n", "6", "--samples", "5", "--seed", "3"], "--csv", "csvSha256"),
+    ],
+    ids=["moments-exact", "moments-formula", "sample"],
+)
+@pytest.mark.parametrize("edit", [None, "0" * 64], ids=["recorded", "zeroed"])
+def test_replay_compares_the_side_file_digest(capsys, tmp_path, monkeypatch, argv, csv_flag, digest_key, edit):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--shape", LOOP, csv_flag, "side.csv", "--out", "run.json"]) == EXIT_OK
+    doc = json.loads((tmp_path / "run.json").read_text())
+    params = doc["manifest"]["parameters"]
+    assert params[digest_key] == hashlib.sha256((tmp_path / "side.csv").read_bytes()).hexdigest()
+    if edit is not None:
+        params[digest_key] = edit
+    (tmp_path / "edited.json").write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "replay", "edited.json")
+    assert code == (EXIT_OK if edit is None else EXIT_INVARIANT), err
+    payload = json.loads(out)["payload"]
+    jsonschema.validate(payload, payload_schema("replay"))
+    assert payload["match"] is (edit is None)
+    assert payload["recomputedSha256"] == payload["expectedSha256"]  # only the side file differs
 
 
 @pytest.mark.parametrize("mode", ["exact,exact", "formula,asymptotic,formula"])

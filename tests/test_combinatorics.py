@@ -7,16 +7,14 @@ from hypothesis import strategies as st
 
 from meandric.analysis import _catalan_quotient
 from meandric.combinatorics import (
-    DyckWord,
     NonCrossingMatching,
+    _dyck_walks,
+    _matching_from_heights,
     catalan,
-    dyck_to_matching,
-    enumerate_dyck_words,
     enumerate_matchings,
     falling_factorial,
-    matching_to_dyck,
 )
-from meandric.errors import InvalidDyckWordError, InvalidMatchingError
+from meandric.errors import InvalidMatchingError
 
 
 def test_catalan_small_values():
@@ -53,65 +51,68 @@ def test_log_catalan_dyadic_decay():
     assert abs(gap) < 0.01
 
 
-def test_dyck_word_text_forms():
-    w = DyckWord.from_text("UUDD")
-    assert w.steps == (1, 1, -1, -1)
-    assert w.to_text() == "UUDD"
-    with pytest.raises(InvalidDyckWordError):
-        DyckWord.from_text("UDX")
-    with pytest.raises(InvalidDyckWordError):
-        DyckWord.from_text("DU")
-    with pytest.raises(InvalidDyckWordError):
-        DyckWord.from_text("UDD")
+def path_heights(matching):
+    """Dyck path heights of a matching: a vertex that opens its arc is an
+    up-step."""
+    steps = [1 if w > v else -1 for v, w in enumerate(matching.partner) if v]
+    return list(itertools.accumulate(steps, initial=0))
 
 
-def test_dyck_to_matching_examples():
-    assert dyck_to_matching(DyckWord.from_text("UD")).arcs() == ((1, 2),)
-    # Stack discipline forces nesting for UUDD.
-    assert dyck_to_matching(DyckWord.from_text("UUDD")).arcs() == ((1, 4), (2, 3))
+def test_matching_from_heights_examples():
+    assert _matching_from_heights([0, 1, 0]).arcs() == ((1, 2),)
+    # Stack discipline forces nesting for a path that climbs twice.
+    assert _matching_from_heights([0, 1, 2, 1, 0]).arcs() == ((1, 4), (2, 3))
 
 
-def test_enumeration_counts_and_first_word():
-    assert [sum(1 for _ in enumerate_dyck_words(n)) for n in range(7)] == [
-        1,
-        1,
-        2,
-        5,
-        14,
-        42,
-        132,
-    ]
-    words = list(enumerate_dyck_words(3))
-    # Ascending lexicographic with U before D: fully nested word first.
-    assert words[0].to_text() == "UUUDDD"
-    assert words[-1].to_text() == "UDUDUD"
-    assert words == sorted(words, key=lambda w: w.steps, reverse=True)
+@pytest.mark.parametrize("row", [[0, 1, 0, -1, 0], [0, 1, 2, 1, 2]], ids=["dips-below-0", "ends-above-0"])
+def test_matching_from_heights_refuses_non_dyck_rows(row):
+    with pytest.raises(InvalidMatchingError):
+        _matching_from_heights(row)
 
 
-def _brute_force_words(n):
-    """Dyck words with n up-steps, filtered from all 2**(2n) step sequences
-    taken in lexicographic order with +1 before -1."""
-    words = []
+def test_enumeration_counts_and_order():
+    assert [sum(1 for _ in enumerate_matchings(n)) for n in range(7)] == [1, 1, 2, 5, 14, 42, 132]
+    matchings = list(enumerate_matchings(3))
+    # Steps in lexicographic order with up before down: rainbow first,
+    # adjacent arcs last.
+    assert matchings[0].to_text() == "1-6,2-5,3-4"
+    assert matchings[-1].to_text() == "1-2,3-4,5-6"
+
+
+def _brute_force_matchings(n):
+    """Matchings of [2n] from the step sequences among all 2**(2n) that
+    stay at or above 0 and end at 0, taken in lexicographic order with +1
+    before -1, each paired here with a stack of open vertices."""
+    matchings = []
     for steps in itertools.product((1, -1), repeat=2 * n):
         heights = list(itertools.accumulate(steps, initial=0))
-        if min(heights) >= 0 and heights[-1] == 0:
-            words.append(DyckWord(steps))
-    return words
+        if min(heights) < 0 or heights[-1] != 0:
+            continue
+        partner = [0] * (2 * n + 1)
+        opened = []
+        for v, step in enumerate(steps, start=1):
+            if step == 1:
+                opened.append(v)
+            else:
+                u = opened.pop()
+                partner[u], partner[v] = v, u
+        matchings.append(NonCrossingMatching(tuple(partner)))
+    return matchings
 
 
 @pytest.mark.parametrize("n", range(9))
 def test_enumeration_matches_brute_force(n):
-    words = _brute_force_words(n)
-    matchings = [dyck_to_matching(w) for w in words]
-    assert len(words) == catalan(n)
-    assert list(enumerate_dyck_words(n)) == words
+    matchings = _brute_force_matchings(n)
+    assert len(matchings) == catalan(n)
     assert list(enumerate_matchings(n)) == matchings
 
 
 def test_matching_round_trip_exhaustive():
     for n in range(1, 7):
-        for word in enumerate_dyck_words(n):
-            assert matching_to_dyck(dyck_to_matching(word)) == word
+        rows = _dyck_walks(n).tolist()
+        for row, matching in zip(rows, enumerate_matchings(n), strict=True):
+            assert _matching_from_heights(row) == matching
+            assert path_heights(matching) == row
 
 
 def test_matchings_unique_and_sized():

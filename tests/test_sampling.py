@@ -13,11 +13,10 @@ from scipy.stats import chi2
 
 from meandric import sampling
 from meandric.combinatorics import (
-    DyckWord,
     NonCrossingMatching,
+    _matching_from_heights,
     _rotated_heights,
     catalan,
-    dyck_to_matching,
 )
 from meandric.errors import MeandricError
 from meandric.meanders import MeandricSystem, count_shape, parse_shape, simple_loop
@@ -127,14 +126,20 @@ def test_seeds_outside_64_bits_rejected(loop1):
     assert sample_matching(6, 3, 2**64 - 1) != sample_matching(6, 3, 0)
 
 
-def test_experiment_config_validation(weak_l5):
+def test_experiment_config_validation(weak_l5, monkeypatch):
     with pytest.raises(MeandricError):
         ExperimentConfig(n=4, sample_count=10, shape=weak_l5, seed=0)
     with pytest.raises(ValueError):
         ExperimentConfig(n=4, sample_count=0, shape=simple_loop(), seed=0)
-    for n in (0, -5):
-        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+    # A walk of 2n + 1 >= 2**31 steps would wrap the 32-bit heights; sizes
+    # are refused before anything is drawn.
+    monkeypatch.setattr(sampling, "_height_rows", None)  # a draw would fail with TypeError
+    for n, message in [(0, "n must be >= 1"), (-5, "n must be >= 1"), (2**30, r"n must be below 2\*\*30")]:
+        with pytest.raises(ValueError, match=f"{message}, got {n}"):
             ExperimentConfig(n=n, sample_count=10, shape=simple_loop(), seed=0)
+        with pytest.raises(ValueError, match=f"{message}, got {n}"):
+            sample_matching(n, 0, 0)
+    assert ExperimentConfig(n=2**30 - 1, sample_count=10, shape=simple_loop(), seed=0).n == 2**30 - 1
 
 
 def test_uniformity_needs_draws():
@@ -338,8 +343,7 @@ def test_extreme_walks_rotate_and_pair_as_rainbow(n):
         heights = _rotated_heights(np.array([up]))
         assert heights.dtype == (np.int16 if 2 * n + 1 < 2**15 else np.int32)
         assert np.array_equal(heights[0], tent)
-        word = DyckWord(tuple(np.diff(heights[0]).tolist()))
-        assert dyck_to_matching(word).partner[1:] == rainbow
+        assert _matching_from_heights(heights[0].tolist()).partner[1:] == rainbow
 
 
 # Two copies of the weak example at offsets 1 and 7, completed at n=8.
