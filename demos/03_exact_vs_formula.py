@@ -13,12 +13,12 @@ import math
 from meandric import (
     block_spectrum,
     catalan,
-    disjoint_moment_term,
     exact_distribution,
     exact_factorial_moment,
     exact_pair_probability,
     factorial_moment_strong,
     log_factorial_moment_asymptotic,
+    moment_report,
     parse_shape,
     simple_loop,
 )
@@ -43,7 +43,7 @@ print("=== A weak shape: overlaps contribute beyond the disjoint term ===")
 weak = parse_shape("supp=1,2,5,6,9,10;up=1-6,2-5,9-10;lo=1-2,5-10,6-9")
 n, r = 8, 2
 exact = exact_factorial_moment(n, r, weak)
-bound = math.factorial(r) * disjoint_moment_term(n, r, weak)
+bound = moment_report(n, r, weak).lower_bound
 print(f"  second factorial moment at n={n}: {exact}")
 print(f"  disjoint-copies lower bound:      {bound}")
 print(f"  pair probability at offset 7:     {exact_pair_probability(n, 7, weak)}")

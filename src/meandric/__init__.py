@@ -15,7 +15,6 @@ from .combinatorics import (
     catalan,
     choose,
     enumerate_matchings,
-    falling_factorial,
 )
 from .errors import (
     CapExceededError,

@@ -384,7 +384,15 @@ def factorial_moment_strong(n: int, r: int, shape: Shape) -> Fraction:
             f"{[o.offset for o in c.overlaps]}, so only r <= 1 or the "
             "exact/asymptotic modes apply"
         )
-    return math.factorial(r) * disjoint_moment_term(n, r, shape)
+    return _disjoint_factorial_moment(n, r, shape)
+
+
+def _disjoint_factorial_moment(n: int, r: int, shape: Shape) -> Fraction:
+    """``r! *`` :func:`disjoint_moment_term`: the mass of r-tuples of
+    pairwise non-overlapping copies, a lower bound on the r-th factorial
+    moment of any shape.  r! is not built when the term is 0."""
+    term = disjoint_moment_term(n, r, shape)
+    return math.factorial(r) * term if term else term
 
 
 def log_factorial_moment_asymptotic(n: int, r: int, shape: Shape) -> float:

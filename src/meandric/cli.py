@@ -14,7 +14,7 @@ to reproduce the payload byte for byte.
 Exit codes: 0 success, 2 statistical gate failure, 3 invariant violation,
 4 usage error or refused input (shape text that is not a valid shape, a
 shape too large for the size, a weak shape's closed form at r >= 2, a
-size above a cap).
+size above a cap, an array too large for memory).
 
 Moments are exact rationals; their log deltas are taken from numerator and
 denominator, so a moment beyond the float range still has a finite one.
@@ -42,8 +42,8 @@ from .analysis import (
     shape_constants,
 )
 from .errors import CapExceededError, InvalidShapeError, MeandricError, WeakShapeError
-from .meanders import Shape, enumerate_shapes, format_shape, parse_shape
-from .oracle import moment_report
+from .meanders import DEFAULT_SHAPE_CAP, Shape, enumerate_shapes, format_shape, parse_shape
+from .oracle import DEFAULT_SIZE_CAP, moment_report
 from .sampling import (
     ExperimentConfig,
     evaluate_gates,
@@ -227,11 +227,7 @@ def _shapes_payload(params: dict) -> dict:
     }
 
 
-def _constants_payload(params: dict) -> dict:
-    return constants_report(_shape(params["shape"]))
-
-
-def _moments_output(params: dict, csv: bool) -> tuple[dict, str | None]:
+def _moments_output(params: dict, workers: int, csv: bool) -> tuple[dict, str | None]:
     """Moments payload plus, when ``csv`` is set, the exact count
     distribution as CSV text (enumerated here unless the exact mode
     already did)."""
@@ -252,7 +248,7 @@ def _moments_output(params: dict, csv: bool) -> tuple[dict, str | None]:
     values: dict[str, Fraction] = {}
     distribution = None
     if "exact" in modes:
-        report = moment_report(n, r, shape, size_cap=params.get("sizeCap", 8))
+        report = moment_report(n, r, shape, size_cap=params.get("sizeCap", DEFAULT_SIZE_CAP))
         distribution = report.distribution
         payload["exactMoment"] = fraction_json(report.exact_moment)
         payload["lowerBoundRFr"] = fraction_json(report.lower_bound)
@@ -278,7 +274,7 @@ def _moments_output(params: dict, csv: bool) -> tuple[dict, str | None]:
     from .oracle import distribution_csv, exact_distribution
 
     if distribution is None:
-        distribution = exact_distribution(n, shape, size_cap=params.get("sizeCap", 8))
+        distribution = exact_distribution(n, shape, size_cap=params.get("sizeCap", DEFAULT_SIZE_CAP))
     return payload, distribution_csv(distribution)
 
 
@@ -299,11 +295,11 @@ def _sample_config(params: dict, worker_count: int) -> ExperimentConfig:
         raise UsageError(str(exc)) from None
 
 
-def _sample_output(params: dict, worker_count: int, csv: bool) -> tuple[dict, str | None]:
+def _sample_output(params: dict, workers: int, csv: bool) -> tuple[dict, str | None]:
     """Summary payload, with the gate verdicts when a gate is set, plus
     the per-sample CSV text when ``csv`` is set.  The samples are drawn
     once for both."""
-    cfg = _sample_config(params, worker_count)
+    cfg = _sample_config(params, workers)
     xs = samples_array(cfg)
     summary = summarize_samples(cfg, xs)
     payload = summary.to_json_dict()
@@ -312,22 +308,34 @@ def _sample_output(params: dict, worker_count: int, csv: bool) -> tuple[dict, st
     return payload, samples_csv(xs) if csv else None
 
 
-# Each replayer takes the manifest parameters and whether to rebuild the
-# side file; results do not depend on the worker count.
-_REPLAYERS = {
-    "shapes": lambda params, csv: (_shapes_payload(params), None),
-    "constants": lambda params, csv: (_constants_payload(params), None),
-    "moments": _moments_output,
-    "sample": lambda params, csv: _sample_output(params, 1, csv),
+# Each subcommand's builder takes the parameters, the worker count and
+# whether to build the side file, and returns the payload and the side
+# file's text (None without one); results do not depend on the worker
+# count.  Beside it, the parameter that records the side file's digest.
+_BUILDERS = {
+    "shapes": (lambda params, workers, csv: (_shapes_payload(params), None), None),
+    "constants": (lambda params, workers, csv: (constants_report(_shape(params["shape"])), None), None),
+    "moments": (_moments_output, "distributionCsvSha256"),
+    "sample": (_sample_output, "csvSha256"),
 }
-
-# The parameter under which a subcommand records its side file's digest.
-_CSV_DIGESTS = {"moments": "distributionCsvSha256", "sample": "csvSha256"}
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
+
+
+def _run(sub: str, params: dict, args, workers: int) -> int:
+    """Build a subcommand's payload, write its side file when asked and
+    record the file's digest in ``params``, emit; a failed gate exits 2."""
+    build, digest_key = _BUILDERS[sub]
+    csv_path = getattr(args, "csv", None)
+    payload, text = build(params, workers, bool(csv_path))
+    if text is not None:
+        _write_output(csv_path, text)
+        params[digest_key] = hashlib.sha256(text.encode()).hexdigest()
+    _emit(sub, params, payload, args.out)
+    return EXIT_OK if payload.get("gates", {"pass": True})["pass"] else EXIT_GATE
 
 
 def _cmd_shapes(args, config) -> int:
@@ -337,14 +345,11 @@ def _cmd_shapes(args, config) -> int:
         params = {"parse": args.parse}
     else:
         params = {"halfLength": args.half_length, "maxHalfLength": args.max_half_length}
-    _emit("shapes", params, _shapes_payload(params), args.out)
-    return EXIT_OK
+    return _run("shapes", params, args, 1)
 
 
 def _cmd_constants(args, config) -> int:
-    params = {"shape": args.shape}
-    _emit("constants", params, _constants_payload(params), args.out)
-    return EXIT_OK
+    return _run("constants", {"shape": args.shape}, args, 1)
 
 
 def _cmd_moments(args, config) -> int:
@@ -355,12 +360,7 @@ def _cmd_moments(args, config) -> int:
         "mode": args.mode,
         "sizeCap": args.size_cap,
     }
-    payload, text = _moments_output(params, bool(args.distribution_csv))
-    if text is not None:
-        _write_output(args.distribution_csv, text)
-        params["distributionCsvSha256"] = hashlib.sha256(text.encode()).hexdigest()
-    _emit("moments", params, payload, args.out)
-    return EXIT_OK
+    return _run("moments", params, args, 1)
 
 
 def _cmd_sample(args, config) -> int:
@@ -373,12 +373,7 @@ def _cmd_sample(args, config) -> int:
         "seed": seed,
         "gate": args.gate,
     }
-    payload, text = _sample_output(params, workers, bool(args.csv))
-    if text is not None:
-        _write_output(args.csv, text)
-        params["csvSha256"] = hashlib.sha256(text.encode()).hexdigest()
-    _emit("sample", params, payload, args.out)
-    return EXIT_OK if payload.get("gates", {"pass": True})["pass"] else EXIT_GATE
+    return _run("sample", params, args, workers)
 
 
 def _cmd_verify(args, config) -> int:
@@ -410,7 +405,7 @@ def _cmd_replay(args, config) -> int:
         if key not in manifest:
             raise UsageError(f"{args.manifest}: manifest has no {key!r}")
     sub = manifest["subcommand"]
-    if sub not in _REPLAYERS:
+    if sub not in _BUILDERS:
         raise UsageError(f"cannot replay subcommand {sub!r}")
     for key, value in manifest["parameters"].items():
         kind = _PARAM_TYPES.get(key)
@@ -420,15 +415,15 @@ def _cmd_replay(args, config) -> int:
                 f"{args.manifest}: {sub} parameter {key!r} must be {noun}, got {json.dumps(value)}"
             )
     params = manifest["parameters"]
-    side = _CSV_DIGESTS.get(sub)
+    build, digest_key = _BUILDERS[sub]
     try:
-        rebuilt, text = _REPLAYERS[sub](params, side in params)
+        rebuilt, text = build(params, 1, digest_key in params)
     except KeyError as exc:
         raise UsageError(f"{args.manifest}: {sub} parameters have no {exc}") from None
     digest = hashlib.sha256(_canonical(rebuilt)).hexdigest()
     ok = digest == manifest["payloadSha256"]
     if text is not None:
-        ok = ok and hashlib.sha256(text.encode()).hexdigest() == params[side]
+        ok = ok and hashlib.sha256(text.encode()).hexdigest() == params[digest_key]
     payload = {
         "subcommand": sub,
         "expectedSha256": manifest["payloadSha256"],
@@ -460,7 +455,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("shapes", help="enumerate shapes of one half-length, or validate one")
     p.add_argument("--half-length", type=int, dest="half_length")
     p.add_argument("--parse", help="shape text to validate (supp=..;up=..;lo=..)")
-    p.add_argument("--max-half-length", type=int, default=5, dest="max_half_length")
+    p.add_argument("--max-half-length", type=int, default=DEFAULT_SHAPE_CAP, dest="max_half_length")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_shapes)
 
@@ -476,10 +471,10 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--shape", required=True)
-    p.add_argument("--size-cap", type=int, default=8, dest="size_cap")
+    p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP, dest="size_cap")
     p.add_argument(
         "--distribution-csv",
-        dest="distribution_csv",
+        dest="csv",
         help="also write the exact count distribution as (x, count) rows",
     )
     p.add_argument("--out")
@@ -530,6 +525,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MeandricError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except MemoryError as exc:
+        print(f"refused: {exc or 'out of memory'}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,8 +1,7 @@
 """Exact integer primitives for the Catalan world.
 
-Catalan numbers, falling factorials, binomial coefficients, and
-non-crossing perfect matchings of ``{1, ..., 2n}``.  All arithmetic here
-is exact.
+Catalan numbers, binomial coefficients, and non-crossing perfect matchings
+of ``{1, ..., 2n}``.  All arithmetic here is exact.
 
 Matchings are handled in bulk as rows of Dyck path heights, ``H[t]``
 after t steps.  Enumeration grows all paths of a size as bit codes and
@@ -30,7 +29,6 @@ from .errors import InvalidMatchingError
 
 __all__ = [
     "catalan",
-    "falling_factorial",
     "choose",
     "NonCrossingMatching",
     "arcs_noncrossing",
@@ -43,19 +41,6 @@ def catalan(n: int) -> int:
     if n < 0:
         raise ValueError(f"catalan undefined for n={n}")
     return math.comb(2 * n, n) // (n + 1)
-
-
-def falling_factorial(n: int, k: int) -> int:
-    """Descending factorial ``n (n-1) ... (n-k+1)`` with ``k`` factors.
-
-    ``k = 0`` gives the empty product 1.  ``n`` may be any integer.
-    """
-    if k < 0:
-        raise ValueError(f"falling_factorial undefined for k={k}")
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
 
 
 def choose(n: int, k: int) -> int:

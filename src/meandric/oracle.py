@@ -21,7 +21,9 @@ mask and summed over supersets (``width`` in-place numpy butterflies over
 systems with copies at every position of the set S.  Pair probabilities
 and block spectra read that product directly; one superset Moebius
 inversion turns it into the number of systems whose copies sit exactly
-at T, whose histogram by ``|T|`` is the distribution.  No step loops over
+at T, whose histogram by ``|T|`` (``np.bitwise_count``) is the
+distribution.  A factorial moment weights each count x by
+``math.perm(x, r)``, 0 at once when r exceeds x.  No step loops over
 masks in Python, and all arithmetic is in int64, exact because every
 intermediate value counts systems.  For the simple loop on a cold cache
 (2 cores, Python 3.11.7, numpy 2.4.6), a distribution takes about 0.015 s
@@ -40,19 +42,14 @@ from typing import Iterator
 import numpy as np
 
 from .analysis import (
+    _disjoint_factorial_moment,
     closed_form_pair_probability,
-    disjoint_moment_term,
+    disjoint_moment_term,  # noqa: F401  (perfbench/tracing.py wraps this global)
     factorial_moment_strong,
     fraction_json,
     shape_constants,
 )
-from .combinatorics import (
-    NonCrossingMatching,
-    _dyck_walks,
-    catalan,
-    enumerate_matchings,
-    falling_factorial,
-)
+from .combinatorics import NonCrossingMatching, _dyck_walks, catalan, enumerate_matchings
 from .errors import CapExceededError, FormulaMismatchError, OracleInvariantError
 from .meanders import MeandricSystem, Shape, arcs_at, format_shape
 
@@ -169,14 +166,6 @@ def _exact_counts(n: int, shape: Shape) -> np.ndarray:
     return counts
 
 
-def _popcounts(width: int) -> np.ndarray:
-    """Number of set bits of every integer below 2**width."""
-    table = np.zeros(1 << width, dtype=np.int8)
-    for k in range(width):
-        table[1 << k : 2 << k] = table[: 1 << k] + 1
-    return table
-
-
 def exact_distribution(n: int, shape: Shape, size_cap: int = DEFAULT_SIZE_CAP) -> dict[int, int]:
     """Histogram of the shape count over all ``catalan(n)**2`` systems."""
     _check_cap(n, size_cap)
@@ -186,7 +175,7 @@ def exact_distribution(n: int, shape: Shape, size_cap: int = DEFAULT_SIZE_CAP) -
     sets = np.flatnonzero(counts)
     width = _width(n, shape)
     histogram = np.zeros(width + 1, dtype=np.int64)
-    np.add.at(histogram, _popcounts(width)[sets], counts[sets])
+    np.add.at(histogram, np.bitwise_count(sets), counts[sets])
     return {x: int(c) for x, c in enumerate(histogram) if c}
 
 
@@ -201,7 +190,7 @@ def _factorial_moment(distribution: dict[int, int], n: int, r: int) -> Fraction:
     """r-th factorial moment of a count distribution over all size-n systems."""
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
-    total = sum(falling_factorial(x, r) * c for x, c in distribution.items())
+    total = sum(math.perm(x, r) * c for x, c in distribution.items())
     return Fraction(total, catalan(n) ** 2)
 
 
@@ -263,7 +252,7 @@ def block_spectrum(
     if span > 2 * n:
         return {}
     up, lo = _superset_sums(n, shape)
-    popcounts = _popcounts(_width(n, shape))
+    popcounts = np.bitwise_count(np.arange(1 << _width(n, shape), dtype=np.int32))
     sets = np.flatnonzero(popcounts == r)
     near = np.zeros_like(sets)
     for k in range(1, span):
@@ -313,7 +302,7 @@ def moment_report(n: int, r: int, shape: Shape, size_cap: int = DEFAULT_SIZE_CAP
     exact = _factorial_moment(distribution, n, r)
     constants = shape_constants(shape)
     formula = factorial_moment_strong(n, r, shape) if constants.is_strong else None
-    bound = math.factorial(r) * disjoint_moment_term(n, r, shape)
+    bound = _disjoint_factorial_moment(n, r, shape)
     if exact < bound:
         raise FormulaMismatchError(
             f"exact moment {exact} below disjoint-tuple bound {bound} "

@@ -25,6 +25,7 @@ from fractions import Fraction
 
 from .analysis import (
     _catalan_quotient,
+    _disjoint_factorial_moment,
     _log_fraction,
     clt_parameters,
     disjoint_moment_term,
@@ -145,7 +146,7 @@ def check_weak_shape_structure() -> tuple[bool, str]:
     if pair <= 0:
         return False, f"pair probability at n={n} offset=7 is {pair}"
     moment = exact_factorial_moment(n, 2, shape, size_cap=n)
-    bound = 2 * disjoint_moment_term(n, 2, shape)
+    bound = _disjoint_factorial_moment(n, 2, shape)
     if moment < bound:
         return False, f"moment {moment} below bound {bound}"
     spectrum = block_spectrum(n, 2, shape, size_cap=n)

@@ -17,7 +17,7 @@ from meandric.analysis import (
     shape_constants,
     tightness_profile,
 )
-from meandric.combinatorics import catalan, falling_factorial
+from meandric.combinatorics import catalan
 from meandric.errors import InvalidShapeError, ShapeInvariantError, WeakShapeError
 from meandric.meanders import enumerate_shapes, simple_loop
 from meandric.oracle import exact_factorial_moment
@@ -251,7 +251,7 @@ def test_factorial_moment_strong_simple_loop_closed_form(loop1):
         for r in range(0, 5):
             expected = (
                 Fraction(
-                    falling_factorial(2 * n - r, r) * catalan(max(n - r, 0)) ** 2,
+                    math.perm(2 * n - r, r) * catalan(max(n - r, 0)) ** 2,
                     catalan(n) ** 2,
                 )
                 if n - r >= 0
@@ -277,7 +277,7 @@ def test_factorial_moment_equals_scaled_disjoint_term(strong_l6):
                     expected = Fraction(0)
                 else:
                     expected = Fraction(
-                        falling_factorial(slots, r)
+                        math.perm(slots, r)
                         * c.face_weight**r
                         * catalan(i_up)
                         * catalan(i_lo),

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import jsonschema
 import pytest
 
 import meandric
+from meandric import oracle
 from meandric.cli import EXIT_GATE, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main, payload_schema
 from meandric.verify import WEAK_L5
 
@@ -225,6 +227,19 @@ def test_sample_gate_failure_exit_code(tmp_path):
     assert doc["payload"]["gates"]["pass"] is False
 
 
+def _cli_child(argv, timeout=None, preexec_fn=None):
+    path = str(Path(meandric.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run(
+        [sys.executable, "-m", "meandric.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        preexec_fn=preexec_fn,
+    )
+
+
 def test_sample_of_equal_counts_is_strict_json():
     # At n = 5 the half-length-5 weak shape must span the whole base, and
     # seed 0 draws it in none of the 20 systems: the raw normality
@@ -232,19 +247,13 @@ def test_sample_of_equal_counts_is_strict_json():
     # they are written as null, not as NaN (which is not JSON) or as the
     # Gaussian's 0, and nothing warns.  The full gate fails the undefined
     # skewness; its variance ratio fails too.
-    env = {**os.environ, "PYTHONPATH": str(Path(meandric.__file__).parents[1])}
     argv = ["sample", "--n", "5", "--samples", "20", "--shape", WEAK_L5, "--seed", "0"]
 
     def reject(constant):
         raise ValueError(f"{constant} is not JSON")
 
     for gate, code in (("none", EXIT_OK), ("full", EXIT_GATE)):
-        run = subprocess.run(
-            [sys.executable, "-m", "meandric.cli", *argv, "--gate", gate],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
+        run = _cli_child([*argv, "--gate", gate])
         assert (run.returncode, run.stderr) == (code, "")
         payload = json.loads(run.stdout, parse_constant=reject)["payload"]
         assert payload["histogram"] == {"0": 20}
@@ -578,6 +587,40 @@ def test_moment_beyond_float_range(capsys, mode):
     assert ("formulaMoment" in payload) == ("formula" in mode)
     if mode == "formula,asymptotic":
         assert abs(payload["deltas"]["logFormulaMinusAsymptotic"]) < 0.05
+
+
+def test_moment_of_more_copies_than_fit_is_zero_at_once():
+    # At n = 4 no system holds 10**7 copies, so every moment is exactly 0,
+    # found without building r! (minutes at this r) or stepping through a
+    # falling factorial of r factors.  The child is killed at the timeout.
+    argv = ["moments", "--mode", "exact,formula,asymptotic", "--n", "4", "--r", "10000000"]
+    run = _cli_child([*argv, "--shape", LOOP], timeout=60)
+    assert (run.returncode, run.stderr) == (EXIT_OK, "")
+    payload = json.loads(run.stdout)["payload"]
+    zero = {"num": "0", "den": "1"}
+    assert payload["exactMoment"] == payload["formulaMoment"] == payload["lowerBoundRFr"] == zero
+    assert payload["deltas"] == {"exactMinusFormula": 0.0}
+
+
+def test_out_of_memory_is_refused():
+    # One row of 2n + 1 int64 at n = 3 * 10**8 is 4.5 GiB, beyond the
+    # child's 2 GiB address space, so the first block cannot be allocated.
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    argv = ["sample", "--n", "300000000", "--samples", "2", "--shape", LOOP]
+    run = _cli_child(argv, timeout=120, preexec_fn=limit)
+    assert (run.returncode, run.stdout) == (EXIT_USAGE, "")
+    assert run.stderr.startswith("refused: ") and run.stderr.count("\n") == 1, run.stderr
+
+
+def test_formula_mismatch_is_an_invariant_violation(capsys, monkeypatch):
+    formula = oracle.factorial_moment_strong
+    monkeypatch.setattr(oracle, "factorial_moment_strong", lambda *args: formula(*args) + 1)
+    argv = ["moments", "--mode", "exact", "--n", "4", "--r", "1", "--shape", LOOP]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_INVARIANT, "")
+    assert err.startswith("invariant violation: strong-shape formula ") and err.count("\n") == 1
 
 
 def test_config_file_and_env_workers(capsys, tmp_path, monkeypatch):

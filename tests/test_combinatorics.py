@@ -12,7 +12,6 @@ from meandric.combinatorics import (
     _matching_from_heights,
     catalan,
     enumerate_matchings,
-    falling_factorial,
 )
 from meandric.errors import InvalidMatchingError
 
@@ -23,23 +22,6 @@ def test_catalan_small_values():
 
 def test_catalan_matches_enumeration_at_8():
     assert sum(1 for _ in enumerate_matchings(8)) == catalan(8) == 1430
-
-
-def test_falling_factorial():
-    assert falling_factorial(5, 0) == 1
-    assert falling_factorial(5, 2) == 20
-    assert falling_factorial(-1, 2) == 2  # plain product semantics
-    with pytest.raises(ValueError):
-        falling_factorial(5, -1)
-
-
-def test_falling_factorial_split_identity():
-    # (2n)_{2r} = (2n)_r * (2n - r)_r, the rearrangement behind the
-    # two equivalent forms of the simple-loop moment.
-    n, r = 10, 3
-    assert falling_factorial(2 * n, 2 * r) == falling_factorial(2 * n, r) * falling_factorial(
-        2 * n - r, r
-    )
 
 
 def test_log_catalan_dyadic_decay():

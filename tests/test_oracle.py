@@ -7,7 +7,7 @@ import pytest
 from meandric.analysis import disjoint_moment_term, shape_constants
 from meandric.combinatorics import catalan
 from meandric import oracle
-from meandric.errors import CapExceededError, OracleInvariantError
+from meandric.errors import CapExceededError, FormulaMismatchError, OracleInvariantError
 from meandric.meanders import count_shape, enumerate_shapes, simple_loop
 from meandric.oracle import (
     MAX_MASK_WIDTH,
@@ -82,10 +82,6 @@ def test_oracle_against_mask_pairs(weak_l5, strong_l6):
             assert block_spectrum(8, r, shape) == expected
 
 
-def test_popcounts():
-    assert oracle._popcounts(10).tolist() == [bin(x).count("1") for x in range(1 << 10)]
-
-
 def test_mask_width_cap(loop1):
     # n=12 is the largest simple-loop size within the width limit; n=13
     # is refused before any matching is enumerated.
@@ -105,6 +101,27 @@ def test_invariant_violation_raises(loop1, monkeypatch):
     monkeypatch.setattr(oracle, "_superset_sums", lambda n, shape: (up, lo))
     with pytest.raises(OracleInvariantError, match="not a partition"):
         exact_distribution(4, loop1)
+
+
+@pytest.mark.parametrize(
+    "name,call,message",
+    [
+        (
+            "closed_form_pair_probability",
+            lambda s: exact_pair_probability(4, 3, s),
+            "pair probability mismatch",
+        ),
+        ("_disjoint_factorial_moment", lambda s: moment_report(4, 1, s), "below disjoint-tuple bound"),
+        ("factorial_moment_strong", lambda s: moment_report(4, 1, s), "strong-shape formula"),
+    ],
+    ids=["pair-probability", "exact-below-bound", "formula-not-exact"],
+)
+def test_formula_mismatch_raises(loop1, monkeypatch, name, call, message):
+    # A closed form off its enumerated value is reported, never patched over.
+    closed_form = getattr(oracle, name)
+    monkeypatch.setattr(oracle, name, lambda *args: closed_form(*args) + 1)
+    with pytest.raises(FormulaMismatchError, match=message):
+        call(loop1)
 
 
 def test_distribution_csv(loop1):
