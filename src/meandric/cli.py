@@ -45,6 +45,7 @@ from .errors import CapExceededError, InvalidShapeError, MeandricError, WeakShap
 from .meanders import DEFAULT_SHAPE_CAP, Shape, enumerate_shapes, format_shape, parse_shape
 from .oracle import DEFAULT_SIZE_CAP, moment_report
 from .sampling import (
+    GATE_PROFILES,
     ExperimentConfig,
     evaluate_gates,
     run_experiment,  # noqa: F401  (perfbench/tracing.py wraps this global)
@@ -64,7 +65,7 @@ ENV_WORKERS = "MEANDRIC_WORKERS"
 # The flag that sets each library cap a CapExceededError can name.
 _CAP_FLAGS = {"size_cap": "--size-cap", "max_half_length": "--max-half-length"}
 
-_GATES = ("none", "meanvar", "full")
+_GATES = ("none", *GATE_PROFILES)
 
 # The type a manifest parameter must have to be replayed: the type its
 # flag parses to.  Unlisted parameters (side-file digests) are compared.
@@ -383,7 +384,7 @@ def _cmd_verify(args, config) -> int:
     if args.out:
         # Refuse an unwritable path before the checks run and echo.
         _write_output(args.out, "")
-    results = verify_mod.run_suite(args.suite, worker_count=workers, echo=True)
+    results = verify_mod.run_suite(args.suite, worker_count=workers)
     payload = {
         "suite": args.suite,
         "results": [{"check": name, "pass": ok, "detail": detail} for name, ok, detail in results],

@@ -2,6 +2,17 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "MeandricError",
+    "InvalidMatchingError",
+    "InvalidShapeError",
+    "WeakShapeError",
+    "CapExceededError",
+    "FormulaMismatchError",
+    "ShapeInvariantError",
+    "OracleInvariantError",
+]
+
 
 class MeandricError(Exception):
     """Base class for all errors raised by this package."""

@@ -236,7 +236,7 @@ def exact_pair_probability(
 def block_spectrum(
     n: int, r: int, shape: Shape, size_cap: int = DEFAULT_SIZE_CAP
 ) -> dict[int, Fraction]:
-    """Split the r-th factorial moment by the number of blocks.
+    """Split the r-th factorial moment, at any r >= 1, by the number of blocks.
 
     Every r-set of occurrence positions is classified by chaining
     positions closer than the base width ``2 * half_length``; the value
@@ -246,8 +246,8 @@ def block_spectrum(
     position of S.
     """
     _check_cap(n, size_cap)
-    if not 1 <= r <= 3:
-        raise ValueError(f"block spectrum supports r in 1..3, got {r}")
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
     span = 2 * shape.half_length
     if span > 2 * n:
         return {}

@@ -15,9 +15,9 @@ Everything is driven by counter-based (keyed Philox) randomness, so each
 draw is a pure function of ``(seed, stream, position)``: parallel workers
 need no shared state and results cannot depend on scheduling.
 
-Summary statistics are accumulated in exact integer arithmetic and
-converted to floats once at the end, which makes summaries bit-identical
-for a fixed seed regardless of the worker count.
+Summary statistics are accumulated in exact integer arithmetic (central
+moments by their definition) and converted to floats once at the end, which
+makes summaries bit-identical for a fixed seed regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -53,12 +53,15 @@ __all__ = [
     "SampleSummary",
     "run_experiment",
     "summarize_samples",
+    "samples_array",
+    "samples_csv",
     "anderson_darling_statistic",
     "chi_square_uniformity",
     "UniformityReport",
     "matching_uniformity",
     "GateCheck",
     "GateReport",
+    "GATE_PROFILES",
     "evaluate_gates",
 ]
 
@@ -77,6 +80,8 @@ _BLOCK_CELLS = 1 << 14
 # statistic with mean and variance estimated from the sample.
 _AD_LEVEL = 0.01
 _AD_CRITICAL = 1.035
+
+GATE_PROFILES = ("meanvar", "full")
 
 
 def _philox_key(seed: int, stream: int, position: int) -> int:
@@ -209,8 +214,6 @@ class ExperimentConfig:
             raise MeandricError(
                 f"shape of half-length {self.shape.half_length} cannot fit in a size-{self.n} system"
             )
-        if self.worker_count < 1:
-            raise ValueError("worker_count must be >= 1")
 
 
 def _experiment_chunk(args: tuple[int, Shape, int, int, int]) -> np.ndarray:
@@ -226,6 +229,8 @@ def _experiment_chunk(args: tuple[int, Shape, int, int, int]) -> np.ndarray:
 
 
 def _run_chunks(worker, args_list: list, worker_count: int) -> list:
+    if worker_count < 1:
+        raise ValueError("worker_count must be >= 1")
     # The pool starts all its processes at the first submit, so more than
     # one per chunk or per core would only idle.
     workers = min(worker_count, len(args_list), os.cpu_count() or 1)
@@ -302,23 +307,14 @@ def anderson_darling_statistic(values: np.ndarray) -> float:
 
 
 def _central_moments(histogram: Sequence[tuple[int, int]], total: int) -> tuple[Fraction, ...]:
-    """Exact population central moments m1..m4 from an integer histogram."""
-    raw = [0, 0, 0, 0, 0]
-    for x, c in histogram:
-        p = 1
-        for k in range(1, 5):
-            p *= x
-            raw[k] += c * p
-    mean = Fraction(raw[1], total)
-    m2 = Fraction(raw[2], total) - mean**2
-    m3 = Fraction(raw[3], total) - 3 * mean * Fraction(raw[2], total) + 2 * mean**3
-    m4 = (
-        Fraction(raw[4], total)
-        - 4 * mean * Fraction(raw[3], total)
-        + 6 * mean**2 * Fraction(raw[2], total)
-        - 3 * mean**4
+    """Exact population mean and central moments m2..m4 from an integer
+    histogram, by their definition in integers: with ``s1 = sum(c * x)``,
+    ``m_k = sum(c * (total * x - s1)**k) / total**(k + 1)``."""
+    s1 = sum(c * x for x, c in histogram)
+    deviations = [(c, total * x - s1) for x, c in histogram]
+    return Fraction(s1, total), *(
+        Fraction(sum(c * d**k for c, d in deviations), total ** (k + 1)) for k in (2, 3, 4)
     )
-    return mean, m2, m3, m4
 
 
 def run_experiment(cfg: ExperimentConfig) -> SampleSummary:
@@ -435,6 +431,9 @@ def matching_uniformity(n: int, draws: int, seed: int, worker_count: int = 1) ->
     """Draw matchings and chi-square the observed counts over all
     ``catalan(n)`` outcomes against exact uniformity.  A drawn path that
     is no Dyck path of size n raises :class:`MeandricError`."""
+    if n < 2:  # one outcome leaves the chi-square nothing to compare
+        raise ValueError(f"n must be >= 2, got {n}")
+    _check_size(n)
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
     chunk = 50_000
@@ -488,7 +487,7 @@ def evaluate_gates(summary: SampleSummary, profile: str = "full") -> GateReport:
     ``full`` adds the skewness bound 0.1, which an undefined skewness
     fails, and the normality gate at the 1% level.
     """
-    if profile not in ("meanvar", "full"):
+    if profile not in GATE_PROFILES:
         raise ValueError(f"unknown gate profile {profile!r}")
     mean_dev = abs(summary.mean - summary.predicted_mean) / summary.n
     var_ratio = summary.variance / summary.predicted_variance

@@ -276,10 +276,10 @@ def check_tightness(shape_text: str | None = None) -> tuple[bool, str]:
     return ok, f"min ratio {ratio:.4g} at n={n} r={r}"
 
 
-def run_suite(suite: str, worker_count: int = 1, echo: bool = False) -> list[tuple[str, bool, str]]:
+def run_suite(suite: str, worker_count: int = 1) -> list[tuple[str, bool, str]]:
     """Run the named suite; returns (check, ok, detail) triples.  The
     exact identities run to n=7 in the small suite and to n=10 in the
-    full one.  ``echo`` prints one line per check with its wall seconds,
+    full one.  Each check also prints one line with its wall seconds,
     which stay out of the results."""
     n_max = 7 if suite == "small" else 10
     small = [
@@ -308,7 +308,6 @@ def run_suite(suite: str, worker_count: int = 1, echo: bool = False) -> list[tup
         start = time.perf_counter()
         ok, detail = fn()
         results.append((name, ok, detail))
-        if echo:
-            seconds = time.perf_counter() - start
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail} ({seconds:.2f} s)")
+        seconds = time.perf_counter() - start
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail} ({seconds:.2f} s)")
     return results

@@ -54,7 +54,7 @@ def test_distribution_against_tracing(weak_l5):
 
 
 def _mask_pair_reference(n, shape):
-    """The distribution and the block spectra for r = 1..3 (as counts of
+    """The distribution and the block spectra for r = 1..5 (as counts of
     systems), by the product over all (upper, lower) mask pairs and a loop
     over the r-subsets of each joint mask."""
     up, lo = (Counter(masks.tolist()) for masks in oracle._occurrence_masks(n, shape))
@@ -62,11 +62,11 @@ def _mask_pair_reference(n, shape):
     for up_mask, up_count in up.items():
         for lo_mask, lo_count in lo.items():
             joint[up_mask & lo_mask] += up_count * lo_count
-    dist, spectra = Counter(), {r: Counter() for r in (1, 2, 3)}
+    dist, spectra = Counter(), {r: Counter() for r in range(1, 6)}
     for mask, weight in joint.items():
         positions = [i for i in range(mask.bit_length()) if mask >> i & 1]
         dist[len(positions)] += weight
-        for r in (1, 2, 3):
+        for r in range(1, 6):
             for subset in combinations(positions, r):
                 gaps = [b - a for a, b in zip(subset, subset[1:])]
                 spectra[r][1 + sum(g >= 2 * shape.half_length for g in gaps)] += weight
@@ -77,7 +77,7 @@ def test_oracle_against_mask_pairs(weak_l5, strong_l6):
     for shape in enumerate_shapes(1) + enumerate_shapes(2) + [weak_l5, strong_l6]:
         dist, spectra = _mask_pair_reference(8, shape)
         assert exact_distribution(8, shape) == dist
-        for r in (1, 2, 3):
+        for r in range(1, 6):
             expected = {u: Fraction(w, catalan(8) ** 2) for u, w in spectra[r].items()}
             assert block_spectrum(8, r, shape) == expected
 
@@ -194,6 +194,12 @@ def test_block_spectrum_strong_mass_at_r(loop1):
             assert total == exact_factorial_moment(n, r, loop1) / __import__("math").factorial(r)
             # strong shape: only fully separated tuples contribute
             assert set(spectrum) <= {r}
+
+
+def test_block_spectrum_refuses_r_below_1(loop1):
+    for r in (0, -1):
+        with pytest.raises(ValueError, match=f"r must be >= 1, got {r}"):
+            block_spectrum(4, r, loop1)
 
 
 def test_block_spectrum_weak_example(weak_l5):

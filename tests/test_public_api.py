@@ -1,6 +1,6 @@
-"""Every public list names something, and every name the package root
-re-exports is on its module's public list, so a removed name cannot
-linger in either."""
+"""Each module's ``__all__`` is the one list of its public names: every
+name on it resolves, and the package root star-imports the lists, so it
+exports each listed name and nothing is re-exported by hand."""
 
 import ast
 import importlib
@@ -12,17 +12,7 @@ import pytest
 import meandric
 
 MODULES = [info.name for info in pkgutil.iter_modules(meandric.__path__)]
-
-
-def _reexports():
-    """(module, name) for each ``from .module import name`` in the root."""
-    tree = ast.parse(Path(meandric.__file__).read_text())
-    return [
-        (node.module, alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
-        for alias in node.names
-    ]
+ROOT_MODULES = ["combinatorics", "errors", "meanders", "analysis", "oracle", "sampling"]
 
 
 @pytest.mark.parametrize("module_name", MODULES)
@@ -32,12 +22,19 @@ def test_public_names_resolve(module_name):
     assert not missing, missing
 
 
-def test_reexports_are_public():
-    reexports = _reexports()
-    assert len(reexports) > 40
-    for module_name, name in reexports:
+def test_root_imports_only_whole_lists():
+    tree = ast.parse(Path(meandric.__file__).read_text())
+    imports = [
+        (node.module, [alias.name for alias in node.names])
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    ]
+    assert imports == [(module_name, ["*"]) for module_name in ROOT_MODULES]
+
+
+def test_root_exports_every_listed_name():
+    for module_name in ROOT_MODULES:
         module = importlib.import_module(f"meandric.{module_name}")
-        if hasattr(module, "__all__"):
-            assert name in module.__all__, f"meandric.{module_name}.{name}"
-        else:  # a module without a list: the name must be its own
-            assert getattr(module, name).__module__ == module.__name__, f"meandric.{module_name}.{name}"
+        for name in module.__all__:
+            assert getattr(meandric, name, None) is getattr(module, name), f"meandric.{module_name}.{name}"
+    assert meandric.samples_array is meandric.sampling.samples_array

@@ -148,6 +148,23 @@ def test_uniformity_needs_draws():
             matching_uniformity(3, draws, seed=1)
 
 
+def test_uniformity_refuses_what_it_cannot_test(monkeypatch):
+    # A size with one outcome leaves the chi-square nothing to compare, and
+    # a worker count below 1 runs nothing; both are refused before a draw.
+    monkeypatch.setattr(sampling, "_height_rows", None)  # a draw would fail with TypeError
+    for n in (-1, 0, 1):
+        with pytest.raises(ValueError, match=f"n must be >= 2, got {n}"):
+            matching_uniformity(n, 10, seed=1)
+    with pytest.raises(ValueError, match=r"n must be below 2\*\*30"):
+        matching_uniformity(2**30, 10, seed=1)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="worker_count must be >= 1"):
+            matching_uniformity(3, 10, seed=1, worker_count=workers)
+        cfg = ExperimentConfig(n=4, sample_count=10, shape=simple_loop(), seed=0, worker_count=workers)
+        with pytest.raises(ValueError, match="worker_count must be >= 1"):
+            samples_array(cfg)
+
+
 def test_uniformity_refuses_non_dyck_codes(monkeypatch):
     # Heights 0,-1,0,1,0 step down first: their code 0b0110 is no Dyck
     # path of size 2, so it must not be counted as a neighbouring outcome.
