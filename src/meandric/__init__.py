@@ -18,4 +18,4 @@ from .analysis import *
 from .oracle import *
 from .sampling import *
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

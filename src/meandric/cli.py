@@ -432,6 +432,13 @@ def _cmd_replay(args, config) -> int:
         "match": ok,
     }
     _emit("replay", {"manifest": args.manifest}, payload, args.out)
+    version = manifest.get("version")
+    if not ok and version not in (None, __version__):
+        print(
+            f"replay: digests differ; {args.manifest} was made by meandric {version}, "
+            f"this is meandric {__version__}",
+            file=sys.stderr,
+        )
     return EXIT_OK if ok else EXIT_INVARIANT
 
 

@@ -18,6 +18,13 @@ need no shared state and results cannot depend on scheduling.
 Summary statistics are accumulated in exact integer arithmetic (central
 moments by their definition) and converted to floats once at the end, which
 makes summaries bit-identical for a fixed seed regardless of the worker count.
+
+The gates need two special functions, the normal CDF for the
+Anderson-Darling statistic and the chi-square tail for the uniformity
+test; both are written on the standard library's ``math`` (``erfc``,
+``lgamma``, ``fsum``), so the package needs numpy alone at run time.
+The uniformity test bins each draw by the rank of its Dyck path among all
+``catalan(n)`` of them.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.special import chdtrc, ndtr
 
 from .analysis import clt_parameters
 from .combinatorics import (
@@ -295,12 +301,17 @@ class SampleSummary:
         }
 
 
+def _ndtr(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of each entry, ``0.5 * erfc(-z / sqrt(2))``."""
+    return np.array([0.5 * math.erfc(t) for t in (-z / math.sqrt(2)).tolist()])
+
+
 def anderson_darling_statistic(values: np.ndarray) -> float:
     """Size-adjusted normality statistic with estimated mean/variance."""
     x = np.sort(np.asarray(values, dtype=float))
     count = x.size
     z = (x - x.mean()) / x.std(ddof=1)
-    cdf = np.clip(ndtr(z), 1e-15, 1 - 1e-15)
+    cdf = np.clip(_ndtr(z), 1e-15, 1 - 1e-15)
     i = np.arange(1, count + 1)
     a2 = -count - np.mean((2 * i - 1) * (np.log(cdf) + np.log1p(-cdf[::-1])))
     return float(a2 * (1 + 0.75 / count + 2.25 / count**2))
@@ -393,12 +404,28 @@ def samples_csv(xs: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _chdtrc(df: int, x: float) -> float:
+    """Chi-square survival function ``Q(df / 2, x / 2)`` for a whole
+    number of degrees of freedom, by the finite sums of the regularized
+    upper incomplete gamma function at integer and half-integer order
+    (DLMF §8.4)."""
+    if x <= 0:
+        return 1.0
+    y = x / 2
+    log_y = math.log(y)
+    if df % 2 == 0:
+        return math.fsum(math.exp(j * log_y - y - math.lgamma(j + 1)) for j in range(df // 2))
+    return math.erfc(math.sqrt(y)) + math.fsum(
+        math.exp((j + 0.5) * log_y - y - math.lgamma(j + 1.5)) for j in range(df // 2)
+    )
+
+
 def chi_square_uniformity(counts: Sequence[int]) -> tuple[float, float]:
     """Chi-square statistic and p-value against the uniform law."""
     c = np.asarray(counts, dtype=float)
     expected = c.sum() / c.size
     stat = float(((c - expected) ** 2 / expected).sum())
-    return stat, float(chdtrc(c.size - 1, stat))
+    return stat, _chdtrc(c.size - 1, stat)
 
 
 @dataclass(frozen=True)
@@ -418,12 +445,16 @@ def _dyck_codes(heights: np.ndarray) -> np.ndarray:
     return up @ (1 << np.arange(up.shape[1], dtype=np.int64))
 
 
-def _uniformity_chunk(args: tuple[int, int, int, int]) -> np.ndarray:
-    n, seed, start, stop = args
-    out = np.zeros(1 << 2 * n, dtype=np.int64)
+def _uniformity_chunk(args: tuple[int, int, int, int, np.ndarray]) -> np.ndarray:
+    """Counts of a chunk's draws by the rank of their code among the
+    sorted ``outcomes``; a code that is none of them is not counted."""
+    n, seed, start, stop, outcomes = args
+    out = np.zeros(outcomes.size, dtype=np.int64)
     for lo, hi in _blocks(n, start, stop):
         drawn = _dyck_codes(_height_rows(n, seed, UPPER_STREAM, lo, hi))
-        out += np.bincount(drawn, minlength=out.size)
+        rank = np.searchsorted(outcomes, drawn)
+        hit = outcomes[np.minimum(rank, outcomes.size - 1)] == drawn
+        out += np.bincount(rank[hit], minlength=out.size)
     return out
 
 
@@ -436,10 +467,12 @@ def matching_uniformity(n: int, draws: int, seed: int, worker_count: int = 1) ->
     _check_size(n)
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
+    codes = _dyck_codes(_dyck_walks(n))
+    outcomes = np.sort(codes)
     chunk = 50_000
-    chunks = [(n, seed, start, min(start + chunk, draws)) for start in range(0, draws, chunk)]
+    chunks = [(n, seed, start, min(start + chunk, draws), outcomes) for start in range(0, draws, chunk)]
     parts = _run_chunks(_uniformity_chunk, chunks, worker_count)
-    counts = np.sum(parts, axis=0)[_dyck_codes(_dyck_walks(n))]
+    counts = np.sum(parts, axis=0)[np.searchsorted(outcomes, codes)]
     if counts.sum() != draws:
         raise MeandricError(f"{counts.sum()} of {draws} draws are Dyck paths of size {n}")
     stat, p = chi_square_uniformity(counts)

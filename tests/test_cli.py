@@ -544,6 +544,35 @@ def test_replay_compares_the_side_file_digest(capsys, tmp_path, monkeypatch, arg
     assert payload["recomputedSha256"] == payload["expectedSha256"]  # only the side file differs
 
 
+@pytest.mark.parametrize(
+    "version,digest",
+    [("0.1.0", "0" * 64), ("0.1.0", None), (meandric.__version__, "0" * 64)],
+    ids=["old-mismatch", "old-match", "same-mismatch"],
+)
+def test_replay_names_both_versions_on_a_cross_version_mismatch(capsys, tmp_path, monkeypatch, version, digest):
+    # Only a mismatch against another version's output gets the extra line;
+    # the exit code and the replay payload are those of any replay.
+    monkeypatch.chdir(tmp_path)
+    assert main(["sample", "--n", "6", "--samples", "5", "--seed", "3", "--shape", LOOP, "--out", "run.json"]) == EXIT_OK
+    doc = json.loads((tmp_path / "run.json").read_text())
+    doc["manifest"]["version"] = version
+    if digest is not None:
+        doc["manifest"]["payloadSha256"] = digest
+    (tmp_path / "edited.json").write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "replay", "edited.json")
+    payload = json.loads(out)["payload"]
+    assert code == (EXIT_OK if digest is None else EXIT_INVARIANT)
+    assert payload["match"] is (digest is None)
+    assert payload["expectedSha256"] == doc["manifest"]["payloadSha256"]
+    if digest is not None and version != meandric.__version__:
+        assert err == (
+            f"replay: digests differ; edited.json was made by meandric {version}, "
+            f"this is meandric {meandric.__version__}\n"
+        )
+    else:
+        assert err == ""
+
+
 @pytest.mark.parametrize("mode", ["exact,exact", "formula,asymptotic,formula"])
 def test_moments_repeated_mode_is_usage_error(capsys, mode):
     # Like a repeated --config key or shape field: a repeat is more likely a
@@ -677,10 +706,10 @@ def test_unknown_command(capsys):
     assert code == EXIT_USAGE
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # ``scipy.stats`` takes over a second to import, which every command
-    # would pay at startup; the package needs only ``scipy.special``.
+def test_import_loads_no_scipy():
+    # The runtime needs numpy only: importing ``scipy.special`` took about
+    # two thirds of ``import meandric``, which every command pays at startup.
     env = {**os.environ, "PYTHONPATH": str(Path(meandric.__file__).parents[1])}
-    code = "import sys, meandric; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    code = "import sys, meandric; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

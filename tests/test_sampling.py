@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import chdtrc, ndtr
 from scipy.stats import chi2
 
 from meandric import sampling
@@ -98,13 +100,45 @@ def test_chi_square_uniformity_edge():
 
 
 def test_chi_square_p_value_is_chi2_survival():
+    # The p-value comes from finite sums, not from scipy, so it agrees with
+    # ``chi2.sf`` to rounding rather than bit for bit.
     for n, draws in [(2, 4000), (3, 20000), (4, 50000)]:
         report = matching_uniformity(n, draws, seed=1)
-        assert report.p_value == chi2.sf(report.statistic, catalan(n) - 1)
+        assert report.p_value == pytest.approx(chi2.sf(report.statistic, catalan(n) - 1), rel=1e-12)
     rng = np.random.default_rng(3)
     for counts in rng.integers(50, 150, size=(200, 7)):
         stat, p = chi_square_uniformity(counts)
-        assert p == chi2.sf(stat, 6)
+        assert p == pytest.approx(chi2.sf(stat, 6), rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [1e-300, 1e-8, 0.3, 1.0, 2.5, 17.0, 123.4, 1400.0])
+def test_chdtrc_low_orders_are_closed_forms(x):
+    assert sampling._chdtrc(1, x) == math.erfc(math.sqrt(x / 2))
+    assert sampling._chdtrc(2, x) == math.exp(-x / 2)
+
+
+def test_chdtrc_matches_scipy():
+    # Up to df = catalan(10) - 1, the uniformity test at n = 10.
+    for df in [*range(1, 41), 99, 100, 429, 1430, 4861, 16795]:
+        for x in [1e-6, 0.5, 1.0, 10.0, 100.0, 1000.0, *(df * f for f in (0.01, 0.1, 0.5, 0.9, 1, 1.1, 1.5, 2, 3, 5))]:
+            expected = chdtrc(df, x)
+            if expected >= 1e-300:
+                assert sampling._chdtrc(df, x) == pytest.approx(expected, rel=1e-10), (df, x)
+
+
+def test_ndtr_matches_scipy():
+    z = np.linspace(-8, 8, 16001)
+    np.testing.assert_allclose(sampling._ndtr(z), ndtr(z), rtol=1e-13, atol=0)
+
+
+def test_anderson_darling_matches_a_scipy_reference(monkeypatch):
+    rng = np.random.default_rng(11)
+    samples = [rng.standard_normal(rng.integers(8, 2049)) for _ in range(100)]
+    samples += [rng.poisson(rng.uniform(0.5, 300), rng.integers(8, 2049)) + rng.random() for _ in range(100)]
+    ours = [anderson_darling_statistic(v) for v in samples]
+    monkeypatch.setattr(sampling, "_ndtr", ndtr)
+    for value, statistic in zip(samples, ours):
+        assert statistic == pytest.approx(anderson_darling_statistic(value), rel=1e-10)
 
 
 def test_anderson_darling_discriminates():
@@ -172,6 +206,28 @@ def test_uniformity_refuses_non_dyck_codes(monkeypatch):
     monkeypatch.setattr(sampling, "_height_rows", lambda n, seed, stream, lo, hi: rows[: hi - lo])
     with pytest.raises(MeandricError, match="1 of 2 draws are Dyck paths of size 2"):
         matching_uniformity(2, 2, seed=1)
+
+
+@pytest.mark.parametrize("bad", [[0, -1, -2, -3, -4], [0, 1, 0, -1, -2], [0, -1, -2, -1, -2], [0, 1, 2, 1, 2]])
+def test_uniformity_refuses_codes_outside_the_outcomes(monkeypatch, bad):
+    # Codes 0, 1 and 4 fall below or between the size-2 outcomes 3 and 5,
+    # code 11 above them; none is counted as a neighbouring outcome.
+    rows = np.array([bad, [0, 1, 2, 1, 0]])
+    monkeypatch.setattr(sampling, "_height_rows", lambda n, seed, stream, lo, hi: rows[: hi - lo])
+    with pytest.raises(MeandricError, match="1 of 2 draws are Dyck paths of size 2"):
+        matching_uniformity(2, 2, seed=1)
+
+
+def test_uniformity_memory_grows_with_the_outcomes():
+    # Binning by code would take 4**n int64 bins per chunk (384 MiB at peak
+    # for n = 12); the outcomes number catalan(12) = 208012.
+    tracemalloc.start()
+    try:
+        matching_uniformity(12, 10, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4**12 * 8
 
 
 def test_run_experiment_summary(loop1):
