@@ -16,13 +16,14 @@ Exit codes: 0 success, 2 statistical gate failure, 3 invariant violation,
 shape too large for the size, a weak shape's closed form at r >= 2, a
 size above a cap, an array too large for memory).
 
-Moments are exact rationals; their log deltas are taken from numerator and
-denominator, so a moment beyond the float range still has a finite one.
+Moments are exact rationals, written in full; their log deltas are taken
+from numerator and denominator, so they stay finite beyond the float range.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import hashlib
 import json
@@ -70,17 +71,8 @@ _GATES = ("none", *GATE_PROFILES)
 # The type a manifest parameter must have to be replayed: the type its
 # flag parses to.  Unlisted parameters (side-file digests) are compared.
 _PARAM_TYPES = {
-    "n": int,
-    "r": int,
-    "sizeCap": int,
-    "samples": int,
-    "seed": int,
-    "halfLength": int,
-    "maxHalfLength": int,
-    "shape": str,
-    "mode": str,
-    "gate": str,
-    "parse": str,
+    **dict.fromkeys(("n", "r", "sizeCap", "samples", "seed", "halfLength", "maxHalfLength"), int),
+    **dict.fromkeys(("shape", "mode", "gate", "parse"), str),
 }
 
 
@@ -326,16 +318,31 @@ _BUILDERS = {
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _exact_digits():
+    """Lift Python's limit on the digits of an int written as text, where
+    it has one, until the block ends: an exact numerator can pass it."""
+    previous = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if previous is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if previous is not None:
+            sys.set_int_max_str_digits(previous)
+
+
 def _run(sub: str, params: dict, args, workers: int) -> int:
     """Build a subcommand's payload, write its side file when asked and
     record the file's digest in ``params``, emit; a failed gate exits 2."""
     build, digest_key = _BUILDERS[sub]
     csv_path = getattr(args, "csv", None)
-    payload, text = build(params, workers, bool(csv_path))
-    if text is not None:
-        _write_output(csv_path, text)
-        params[digest_key] = hashlib.sha256(text.encode()).hexdigest()
-    _emit(sub, params, payload, args.out)
+    with _exact_digits():
+        payload, text = build(params, workers, bool(csv_path))
+        if text is not None:
+            _write_output(csv_path, text)
+            params[digest_key] = hashlib.sha256(text.encode()).hexdigest()
+        _emit(sub, params, payload, args.out)
     return EXIT_OK if payload.get("gates", {"pass": True})["pass"] else EXIT_GATE
 
 
@@ -378,8 +385,8 @@ def _cmd_sample(args, config) -> int:
 
 
 def _cmd_verify(args, config) -> int:
-    if args.suite not in ("small", "full"):
-        raise UsageError(f"unknown suite {args.suite!r}; expected small or full")
+    if args.suite not in verify_mod.SUITES:
+        raise UsageError(f"unknown suite {args.suite!r}; expected {' or '.join(verify_mod.SUITES)}")
     workers = _resolve_workers(args.workers, config)
     if args.out:
         # Refuse an unwritable path before the checks run and echo.
@@ -418,7 +425,8 @@ def _cmd_replay(args, config) -> int:
     params = manifest["parameters"]
     build, digest_key = _BUILDERS[sub]
     try:
-        rebuilt, text = build(params, 1, digest_key in params)
+        with _exact_digits():
+            rebuilt, text = build(params, 1, digest_key in params)
     except KeyError as exc:
         raise UsageError(f"{args.manifest}: {sub} parameters have no {exc}") from None
     digest = hashlib.sha256(_canonical(rebuilt)).hexdigest()

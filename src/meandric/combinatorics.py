@@ -4,8 +4,8 @@ Catalan numbers, binomial coefficients, and non-crossing perfect matchings
 of ``{1, ..., 2n}``.  All arithmetic here is exact.
 
 Matchings are handled in bulk as rows of Dyck path heights, ``H[t]``
-after t steps.  Enumeration grows all paths of a size as bit codes and
-returns their heights (:func:`_dyck_walks`); the sampler rotates random
+after t steps.  Enumeration grows all paths of a size a column of
+heights at a time (:func:`_dyck_walks`); the sampler rotates random
 walks into Dyck paths (:func:`_rotated_heights`).  Shape counts read the
 heights directly.  A single matching is a :class:`NonCrossingMatching`
 partner tuple, built from one row of heights by the stack bijection,
@@ -59,25 +59,20 @@ def _dyck_walks(n: int) -> np.ndarray:
     """Every Dyck path with ``n`` up-steps as one int16 row of its
     ``2n + 1`` heights.
 
-    The paths grow one step at a time as int64 codes, bit t set for an
-    up-step at t; every prefix spawns its up child, then its down child.
-    So the rows come in lexicographic order of their steps with up before
-    down: the rainbow's path ``0, 1, ..., n, ..., 1, 0`` first and the
-    zigzag ``0, 1, 0, ..., 1, 0`` last."""
+    The rows grow one column at a time: every prefix spawns its up child,
+    then its down child.  After t steps at height h a path has taken
+    ``(t + h) / 2`` up-steps, so it may go up while ``h < 2n - t``.  So the
+    rows come in lexicographic order of their steps with up before down:
+    the rainbow's path ``0, 1, ..., n, ..., 1, 0`` first and the zigzag
+    ``0, 1, 0, ..., 1, 0`` last."""
     if n < 0:
         raise ValueError(f"enumerate_matchings undefined for n={n}")
-    codes = np.zeros(1, dtype=np.int64)
-    ups = np.zeros(1, dtype=np.int64)
-    height = np.zeros(1, dtype=np.int64)
+    walks = np.zeros((1, 2 * n + 1), dtype=np.int16)
     for t in range(2 * n):
-        parent, down = np.nonzero(np.stack([ups < n, height > 0], 1))
-        up = 1 - down
-        codes = codes[parent] | up << t
-        ups = ups[parent] + up
-        height = height[parent] + 2 * up - 1
-    steps = 2 * (codes[:, None] >> np.arange(2 * n) & 1) - 1
-    walks = np.zeros((codes.size, 2 * n + 1), dtype=np.int16)
-    np.add.accumulate(steps, axis=1, dtype=np.int16, out=walks[:, 1:])
+        height = walks[:, t]
+        parent, down = np.nonzero(np.stack([height < 2 * n - t, height > 0], 1))
+        walks = walks[parent]
+        walks[:, t + 1] = walks[:, t] + 1 - 2 * down
     return walks
 
 

@@ -26,9 +26,9 @@ distribution.  A factorial moment weights each count x by
 ``math.perm(x, r)``, 0 at once when r exceeds x.  No step loops over
 masks in Python, and all arithmetic is in int64, exact because every
 intermediate value counts systems.  For the simple loop on a cold cache
-(2 cores, Python 3.11.7, numpy 2.4.6), a distribution takes about 0.015 s
-at n=9 (2**17 sets), 0.056 s at n=10 and 0.20 s at n=11, enumeration
-included.  Sets of more than ``MAX_MASK_WIDTH`` positions are refused.
+(2 cores, Python 3.11.7, numpy 2.4.6), a distribution takes about 0.014 s
+at n=9 (2**17 sets), 0.06 s at n=10, 0.21 s at n=11 and 0.7 s at n=12,
+enumeration included.  Sets of over ``MAX_MASK_WIDTH`` positions are refused.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def _superset_sums(n: int, shape: Shape) -> tuple[np.ndarray, np.ndarray]:
     upper matchings that hold the shape's upper arcs at every position of
     S (bit ``i-1`` for position i), and ``L[S]`` the same for the lower.
     So ``U[S] * L[S]`` counts the systems with copies at every position
-    of S."""
+    of S.  Both are new arrays, which callers may overwrite."""
     width = _width(n, shape)
     if width > MAX_MASK_WIDTH or catalan(n) ** 2 >= 2**63:
         raise CapExceededError(
@@ -157,7 +157,7 @@ def _exact_counts(n: int, shape: Shape) -> np.ndarray:
     Each partial inversion step still counts systems, so every entry
     stays in ``[0, catalan(n)**2]`` and int64 is exact."""
     up, lo = _superset_sums(n, shape)
-    counts = _fold_supersets(up * lo, np.subtract)
+    counts = _fold_supersets(np.multiply(up, lo, out=up), np.subtract)
     if counts.min() < 0 or int(counts.sum()) != catalan(n) ** 2:
         raise OracleInvariantError(
             f"exact occurrence counts at n={n} shape={format_shape(shape)} are not a "

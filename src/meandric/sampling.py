@@ -214,8 +214,7 @@ class ExperimentConfig:
         _check_size(self.n)
         if self.sample_count < 2:
             raise ValueError("sample_count must be >= 2")
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"seed {self.seed} outside [0, 2**64)")
+        _philox_key(self.seed, UPPER_STREAM, self.sample_count - 1)
         if self.shape.half_length > self.n:
             raise MeandricError(
                 f"shape of half-length {self.shape.half_length} cannot fit in a size-{self.n} system"

@@ -47,6 +47,7 @@ __all__ = [
     "STRONG_L6",
     "WEAK_L5",
     "DEFAULT_SEED",
+    "SUITES",
     "run_suite",
 ]
 
@@ -56,6 +57,7 @@ STRONG_L6 = "supp=1,4,7,12;up=1-4,7-12;lo=1-12,4-7"
 WEAK_L5 = "supp=1,2,5,6,9,10;up=1-6,2-5,9-10;lo=1-2,5-10,6-9"
 
 DEFAULT_SEED = 20260810
+SUITES = ("small", "full")
 UNIFORMITY_SEED = 1
 WEAK_GATE_SEED = 1
 
@@ -65,10 +67,7 @@ TIGHTNESS_SCALE = 1250
 
 
 def _shapes_up_to(ell_max: int) -> list[Shape]:
-    out: list[Shape] = []
-    for ell in range(1, ell_max + 1):
-        out.extend(enumerate_shapes(ell))
-    return out
+    return [shape for ell in range(1, ell_max + 1) for shape in enumerate_shapes(ell)]
 
 
 def check_strong_moment_identity(n_max: int = 7) -> tuple[bool, str]:
@@ -96,12 +95,7 @@ def check_strong_l6_constants() -> tuple[bool, str]:
     """The half-length-6 example shape has face weight 10 and open pair
     counts (1, 0)."""
     c = shape_constants(parse_shape(STRONG_L6))
-    ok = (
-        c.face_weight == 10
-        and c.open_pairs_upper == 1
-        and c.open_pairs_lower == 0
-        and c.is_strong
-    )
+    ok = c.face_weight == 10 and (c.open_pairs_upper, c.open_pairs_lower) == (1, 0) and c.is_strong
     return ok, (
         f"face_weight={c.face_weight} open=({c.open_pairs_upper},{c.open_pairs_lower}) "
         f"strong={c.is_strong}"
@@ -280,7 +274,10 @@ def run_suite(suite: str, worker_count: int = 1) -> list[tuple[str, bool, str]]:
     """Run the named suite; returns (check, ok, detail) triples.  The
     exact identities run to n=7 in the small suite and to n=10 in the
     full one.  Each check also prints one line with its wall seconds,
-    which stay out of the results."""
+    which stay out of the results.  An unknown suite raises ValueError
+    before any check runs."""
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; expected {' or '.join(SUITES)}")
     n_max = 7 if suite == "small" else 10
     small = [
         ("strong-moment-identity", lambda: check_strong_moment_identity(n_max=n_max)),

@@ -11,8 +11,18 @@ import jsonschema
 import pytest
 
 import meandric
-from meandric import oracle
-from meandric.cli import EXIT_GATE, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main, payload_schema
+from meandric import oracle, verify
+from meandric.analysis import factorial_moment_strong
+from meandric.cli import (
+    EXIT_GATE,
+    EXIT_INVARIANT,
+    EXIT_OK,
+    EXIT_USAGE,
+    _exact_digits,
+    main,
+    payload_schema,
+)
+from meandric.meanders import simple_loop
 from meandric.verify import WEAK_L5
 
 LOOP = "supp=1,2;up=1-2;lo=1-2"
@@ -115,6 +125,26 @@ def test_moments_asymptotic_delta(capsys):
     )
     assert code == EXIT_OK
     assert abs(doc["payload"]["deltas"]["logFormulaMinusAsymptotic"]) < 0.05
+
+
+def test_moments_beyond_the_int_digit_limit(capsys, tmp_path, monkeypatch):
+    # The simple loop's 1000th factorial moment at n = 10**5 has a numerator
+    # of more digits than Python writes as text by default (4300).
+    monkeypatch.chdir(tmp_path)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    argv = ["moments", "--mode", "formula", "--n", "100000", "--r", "1000", "--shape", LOOP]
+    code, out, err = run_cli(capsys, *argv, "--out", "big.json")
+    assert (code, out, err) == (EXIT_OK, "", "")
+    assert limit() == before
+    num = json.loads(Path("big.json").read_text())["payload"]["formulaMoment"]["num"]
+    assert len(num) > 4300
+    with _exact_digits():
+        assert num == str(factorial_moment_strong(100000, 1000, simple_loop()).numerator)
+    code, out, err = run_cli(capsys, "replay", "big.json")
+    assert code == EXIT_OK, err
+    assert json.loads(out)["payload"]["match"] is True
+    assert limit() == before
 
 
 def test_sample_reproducible_and_replay(capsys, tmp_path):
@@ -698,7 +728,18 @@ def test_verify_small_suite(capsys):
 def test_verify_unknown_suite(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "medium")
     assert code == EXIT_USAGE
-    assert "unknown suite" in err
+    assert err == "usage error: unknown suite 'medium'; expected small or full\n"
+
+
+@pytest.mark.parametrize("suite", ["medium", "Small", ""])
+def test_run_suite_refuses_unknown_names(capsys, monkeypatch, suite):
+    def ran(**kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "check_strong_moment_identity", ran)
+    with pytest.raises(ValueError, match=f"^unknown suite {suite!r}; expected small or full$"):
+        verify.run_suite(suite)
+    assert capsys.readouterr().out == ""
 
 
 def test_unknown_command(capsys):

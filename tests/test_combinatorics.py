@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,46 @@ def test_enumeration_matches_brute_force(n):
     matchings = _brute_force_matchings(n)
     assert len(matchings) == catalan(n)
     assert list(enumerate_matchings(n)) == matchings
+
+
+# SHA-256 of ``_dyck_walks(n).tobytes()``, taken when the paths still grew
+# as bit codes: the rows, their int16 type and their order are pinned past
+# the brute-force test's n <= 8.
+WALK_DIGESTS = [
+    "96a296d224f285c67bee93c30f8a309157f0daa35dc5b87e410b78630a09cfc7",
+    "025fc246f13759c192cbbae2a68f2b59b6478f21b31a05d77483a87e417906dd",
+    "69a6d8c083367119569bd11d431dea93e721882ecfae83637553a1885a74d098",
+    "d9cfe83f88ae84abb06b0bc9971103885b9e7ad029871cbfad37d543c687dc9f",
+    "2a23a8f72391eddf7340e006901371500a2069e36cf39337e3008cbb7d88e136",
+    "71f939deaf79f3155b3e35d801301e7ca39571a2aaf8e436171f65744f191c51",
+    "325fb85ef79ac6fb82174c4eab0bf77a2904c2f5807aa7134647d388fe8cef5e",
+    "ed96666d041caeded0afcd4db60f2741cd0703c34bc46d671020ed41a81cc505",
+    "b7176a3953d8cb1298b802c87ad42cf81385078560730344972c9e2d3343129a",
+    "f2043a6759a9e97ce44d7b28ade90453b2304233545264570ff25295e0e76099",
+    "559f934d2f36ef02ec5559a0954bf0d9397b1531c65faf86ac73ea8caf422f73",
+    "87f22dec15027e93d7191a31f3cca405f1972416936093f20faaf0524481dee8",
+    "804dfbac21729283d6e645bc3b933cb278bcaab0efb6c4976c03bd02546a39ed",
+]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_dyck_walks_digest(n):
+    walks = _dyck_walks(n)
+    assert walks.shape == (catalan(n), 2 * n + 1)
+    assert hashlib.sha256(walks.tobytes()).hexdigest() == WALK_DIGESTS[n]
+
+
+def test_dyck_walks_memory():
+    # The int16 result is 9.9 MiB at n = 12.  Growing the rows as int64
+    # bit codes and decoding them peaked at 67.1 MiB; growing the heights
+    # directly peaks at 26.6 MiB.
+    tracemalloc.start()
+    try:
+        _dyck_walks(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_matching_round_trip_exhaustive():

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -92,6 +93,19 @@ def test_mask_width_cap(loop1):
         block_spectrum(13, 2, loop1, size_cap=13)
     with pytest.raises(CapExceededError):
         exact_pair_probability(13, 3, loop1, size_cap=13)
+
+
+def test_distribution_memory(loop1):
+    # At n = 11 each of U and L holds 2**21 int64 (16 MiB).  A third array
+    # for U * L peaked at 49.1 MiB; the product formed in U peaks at
+    # 33.3 MiB (tracemalloc, numpy 2.4.6).
+    tracemalloc.start()
+    try:
+        exact_distribution(11, loop1, size_cap=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 41 * 2**20
 
 
 def test_invariant_violation_raises(loop1, monkeypatch):

@@ -176,6 +176,19 @@ def test_experiment_config_validation(weak_l5, monkeypatch):
     assert ExperimentConfig(n=2**30 - 1, sample_count=10, shape=simple_loop(), seed=0).n == 2**30 - 1
 
 
+def test_experiment_config_refuses_positions_beyond_the_key():
+    # Positions take the low 60 bits of a Philox key, so at most 2**60
+    # samples; a larger count is refused when the config is built, before
+    # any chunk is planned.  Only configs are built here: a count this
+    # large must never reach the sampler.
+    assert ExperimentConfig(n=4, sample_count=2**60, shape=simple_loop(), seed=0).sample_count == 2**60
+    with pytest.raises(ValueError, match=f"^position {2**60} out of range$"):
+        ExperimentConfig(n=4, sample_count=2**60 + 1, shape=simple_loop(), seed=0)
+    # The seed is still checked first, with the same message.
+    with pytest.raises(ValueError, match=r"^seed -1 outside \[0, 2\*\*64\)$"):
+        ExperimentConfig(n=4, sample_count=2**61, shape=simple_loop(), seed=-1)
+
+
 def test_uniformity_needs_draws():
     for draws in (0, -1):
         with pytest.raises(ValueError, match=f"draws must be >= 1, got {draws}"):
