@@ -76,6 +76,18 @@ def _dyck_walks(n: int) -> np.ndarray:
     return walks
 
 
+def _bit_codes(bits: np.ndarray) -> np.ndarray:
+    """One int64 per row of a bool matrix: bit t is set when column t is.
+
+    The columns are ORed in, most significant first, into one array of
+    codes, so no int64 copy of the matrix is made."""
+    codes = np.zeros(len(bits), dtype=np.int64)
+    for column in bits.T[::-1]:
+        codes <<= 1
+        codes |= column
+    return codes
+
+
 # ---------------------------------------------------------------------------
 # Non-crossing matchings
 # ---------------------------------------------------------------------------

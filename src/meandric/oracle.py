@@ -15,19 +15,22 @@ size n directly in numpy, with no Python object per matching and no
 pairing of steps; :func:`meandric.meanders.arcs_at` tests each half of the
 shape at every position of every matching in one vectorized pass, and
 each matching's row of hits is packed into one integer bitmask over the
-``width = 2n - 2 * half_length + 1`` positions.  Binned into counts per
+``width = 2n - 2 * half_length + 1`` positions.  The masks are cached per
+half, so shapes that share a half share its masks.  Binned into counts per
 mask and summed over supersets (``width`` in-place numpy butterflies over
-``2**width`` entries), the two halves give ``U[S] * L[S]``, the number of
-systems with copies at every position of the set S.  Pair probabilities
-and block spectra read that product directly; one superset Moebius
-inversion turns it into the number of systems whose copies sit exactly
-at T, whose histogram by ``|T|`` (``np.bitwise_count``) is the
-distribution.  A factorial moment weights each count x by
-``math.perm(x, r)``, 0 at once when r exceeds x.  No step loops over
-masks in Python, and all arithmetic is in int64, exact because every
-intermediate value counts systems.  For the simple loop on a cold cache
-(2 cores, Python 3.11.7, numpy 2.4.6), a distribution takes about 0.014 s
-at n=9 (2**17 sets), 0.06 s at n=10, 0.21 s at n=11 and 0.7 s at n=12,
+``2**width`` entries, once per distinct half), the two halves give
+``U[S] * L[S]``, the number of systems with copies at every position of
+the set S.  Pair probabilities and block spectra read that product
+directly; one superset Moebius inversion turns it into the number of
+systems whose copies sit exactly at T, whose histogram by ``|T|``
+(``np.bitwise_count``) is the distribution.  A factorial moment weights
+each count x by ``math.perm(x, r)``, 0 at once when r exceeds x.  No step
+loops over masks in Python.  ``U`` and ``L`` count matchings, so they are
+int32 below the guard ``catalan(n) < 2**31``; their product and all that
+follows it is int64, exact because every intermediate value counts
+systems.  For the simple loop, whose two halves are equal, on a cold cache
+(2 cores, Python 3.11.7, numpy 2.4.6), a distribution takes about 0.005 s
+at n=9 (2**17 sets), 0.023 s at n=10, 0.08 s at n=11 and 0.34 s at n=12,
 enumeration included.  Sets of over ``MAX_MASK_WIDTH`` positions are refused.
 """
 
@@ -49,7 +52,7 @@ from .analysis import (
     fraction_json,
     shape_constants,
 )
-from .combinatorics import NonCrossingMatching, _dyck_walks, catalan, enumerate_matchings
+from .combinatorics import NonCrossingMatching, _bit_codes, _dyck_walks, catalan, enumerate_matchings
 from .errors import CapExceededError, FormulaMismatchError, OracleInvariantError
 from .meanders import MeandricSystem, Shape, arcs_at, format_shape
 
@@ -68,8 +71,8 @@ __all__ = [
 
 DEFAULT_SIZE_CAP = 8
 
-# Most copy positions the oracle handles: 2**23 int64 counts (64 MiB) per
-# array, the simple loop at n=12.
+# Most copy positions the oracle handles, the simple loop at n=12: 2**23
+# int32 counts (32 MiB) per half and 2**23 int64 (64 MiB) for their product.
 MAX_MASK_WIDTH = 23
 
 
@@ -107,18 +110,22 @@ def _width(n: int, shape: Shape) -> int:
     return 2 * n - 2 * shape.half_length + 1
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=128)
+def _half_masks(n: int, arcs: tuple[tuple[int, int], ...], width: int) -> np.ndarray:
+    """Per-matching bitmasks of one half: bit ``i-1`` of entry j is set iff
+    matching j contains the arcs translated to start at position i.  The
+    array is read-only, since the cache shares it between shapes."""
+    mask = _bit_codes(arcs_at(_dyck_walks(n), arcs, width))
+    mask.flags.writeable = False
+    return mask
+
+
 def _occurrence_masks(n: int, shape: Shape) -> tuple[np.ndarray, np.ndarray]:
-    """Per-matching bitmasks: bit ``i-1`` of ``up[j]`` is set iff matching
-    j contains the shape's upper arcs translated to start at i; same for
-    the lower arcs.  The arrays are read-only, since the cache shares them."""
+    """``(up, lo)``: the bitmasks of the shape's upper arcs and of its lower
+    arcs.  The masks are cached per half, so shapes with an equal half share
+    one array, and a shape whose halves are equal gets one array twice."""
     width = _width(n, shape)
-    bits = 1 << np.arange(width, dtype=np.int64)
-    heights = _dyck_walks(n)
-    masks = tuple(arcs_at(heights, arcs, width) @ bits for arcs in (shape.upper, shape.lower))
-    for mask in masks:
-        mask.flags.writeable = False
-    return masks
+    return _half_masks(n, shape.upper, width), _half_masks(n, shape.lower, width)
 
 
 def _superset_sums(n: int, shape: Shape) -> tuple[np.ndarray, np.ndarray]:
@@ -126,27 +133,35 @@ def _superset_sums(n: int, shape: Shape) -> tuple[np.ndarray, np.ndarray]:
     upper matchings that hold the shape's upper arcs at every position of
     S (bit ``i-1`` for position i), and ``L[S]`` the same for the lower.
     So ``U[S] * L[S]`` counts the systems with copies at every position
-    of S.  Both are new arrays, which callers may overwrite."""
+    of S.  Both count matchings, so they are int32 below the guard's
+    ``catalan(n) < 2**31``; a product must be widened to int64.  Equal
+    masks are folded once and the one array is returned twice, so both
+    are read-only."""
     width = _width(n, shape)
-    if width > MAX_MASK_WIDTH or catalan(n) ** 2 >= 2**63:
+    if width > MAX_MASK_WIDTH or catalan(n) >= 2**31:
         raise CapExceededError(
             f"size {n} needs 2**{width} position sets for a half-length-"
             f"{shape.half_length} shape; the oracle stops at 2**{MAX_MASK_WIDTH}"
         )
     up, lo = _occurrence_masks(n, shape)
-    return (
-        _fold_supersets(np.bincount(up, minlength=1 << width), np.add),
-        _fold_supersets(np.bincount(lo, minlength=1 << width), np.add),
-    )
+    sums = [
+        _fold_supersets(np.bincount(mask, minlength=1 << width).astype(np.int32), np.add)
+        for mask in ((up,) if up is lo else (up, lo))
+    ]
+    for counts in sums:
+        counts.flags.writeable = False
+    return sums[0], sums[-1]
 
 
 def _fold_supersets(counts: np.ndarray, op: np.ufunc) -> np.ndarray:
     """``counts[S] = op(counts[S], counts[S | 2**k])`` for every bit k in
     turn, in place: ``np.add`` sums each entry over its supersets and
-    ``np.subtract`` undoes that (superset Moebius inversion)."""
+    ``np.subtract`` undoes that (superset Moebius inversion).  Rows of
+    fewer than 16 entries are swept down the columns, in one long strided
+    loop, where numpy's memory order would start one short loop per row."""
     for k in range(counts.size.bit_length() - 1):
         pairs = counts.reshape(-1, 2, 1 << k)
-        op(pairs[:, 0], pairs[:, 1], out=pairs[:, 0])
+        op(pairs[:, 0], pairs[:, 1], out=pairs[:, 0], order="F" if k < 4 else "K")
     return counts
 
 
@@ -157,7 +172,7 @@ def _exact_counts(n: int, shape: Shape) -> np.ndarray:
     Each partial inversion step still counts systems, so every entry
     stays in ``[0, catalan(n)**2]`` and int64 is exact."""
     up, lo = _superset_sums(n, shape)
-    counts = _fold_supersets(np.multiply(up, lo, out=up), np.subtract)
+    counts = _fold_supersets(np.multiply(up, lo, dtype=np.int64), np.subtract)
     if counts.min() < 0 or int(counts.sum()) != catalan(n) ** 2:
         raise OracleInvariantError(
             f"exact occurrence counts at n={n} shape={format_shape(shape)} are not a "
@@ -258,7 +273,7 @@ def block_spectrum(
     for k in range(1, span):
         near |= sets << k
     blocks = popcounts[sets & ~near]  # positions with no other within span before them
-    mass = up[sets] * lo[sets]
+    mass = np.multiply(up[sets], lo[sets], dtype=np.int64)
     denom = catalan(n) ** 2
     totals = {u: int(mass[blocks == u].sum()) for u in range(1, r + 1)}
     return {u: Fraction(w, denom) for u, w in totals.items() if w}

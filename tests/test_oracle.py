@@ -3,9 +3,10 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
-from meandric.analysis import disjoint_moment_term, shape_constants
+from meandric.analysis import disjoint_moment_term, factorial_moment_strong, shape_constants
 from meandric.combinatorics import catalan
 from meandric import oracle
 from meandric.errors import CapExceededError, FormulaMismatchError, OracleInvariantError
@@ -96,16 +97,51 @@ def test_mask_width_cap(loop1):
 
 
 def test_distribution_memory(loop1):
-    # At n = 11 each of U and L holds 2**21 int64 (16 MiB).  A third array
-    # for U * L peaked at 49.1 MiB; the product formed in U peaks at
-    # 33.3 MiB (tracemalloc, numpy 2.4.6).
+    # At n = 11 there are 2**21 position sets.  Int64 U and L with a third
+    # array for U * L peaked at 49.1 MiB, and the product formed in U at
+    # 33.3 MiB.  The simple loop's equal halves now share one int32 array
+    # (8 MiB) beside the int64 product, which peaks at 24.6 MiB
+    # (tracemalloc, numpy 2.4.6).
     tracemalloc.start()
     try:
         exact_distribution(11, loop1, size_cap=11)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 41 * 2**20
+    assert peak < 29 * 2**20
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_fold_supersets_against_brute_force(dtype):
+    rng = np.random.default_rng(3)
+    for width in range(11):
+        counts = rng.integers(0, 1000, 1 << width).astype(dtype)
+        sets = np.arange(1 << width)
+        expected = [int(counts[sets & s == s].sum()) for s in sets]
+        folded = oracle._fold_supersets(counts.copy(), np.add)
+        assert folded.dtype == dtype
+        assert folded.tolist() == expected
+        assert np.array_equal(oracle._fold_supersets(folded, np.subtract), counts)
+
+
+def test_equal_halves_share_one_array(loop1):
+    up, lo = oracle._occurrence_masks(6, loop1)
+    assert up is lo
+    sums = oracle._superset_sums(6, loop1)
+    assert sums[0] is sums[1]
+    assert not sums[0].flags.writeable
+    by_upper = {}
+    for shape in enumerate_shapes(3):
+        by_upper.setdefault(shape.upper, []).append(shape)
+    first, second = next(group for group in by_upper.values() if len(group) > 1)[:2]
+    assert oracle._occurrence_masks(6, first)[0] is oracle._occurrence_masks(6, second)[0]
+
+
+def test_block_spectrum_widens_the_product(loop1):
+    # At n = 12 U * L on one position reaches 3455793796, above 2**31, so
+    # a product of the int32 halves left in int32 would wrap.
+    spectrum = block_spectrum(12, 1, loop1, size_cap=12)
+    assert sum(spectrum.values()) == factorial_moment_strong(12, 1, loop1)
 
 
 def test_invariant_violation_raises(loop1, monkeypatch):
