@@ -5,6 +5,9 @@ Subcommands expose the library: ``shapes`` (enumerate/validate), ``constants``
 asymptotic factorial moments), ``sample`` (Monte Carlo experiments with
 optional statistical gates), ``verify`` (the acceptance checks), and
 ``replay`` (re-run a previous output's manifest and compare digests).
+Each is declared once, in ``_COMMANDS``: its flags with the manifest key,
+type and default of each, and its payload builder.  The parser, the
+manifest parameters and replay's type check all read that table.
 
 Every JSON output is wrapped as ``{"manifest": ..., "payload": ...}``; the
 manifest records the subcommand, the fully resolved parameters, the engine
@@ -30,7 +33,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import __version__
 from .analysis import (
@@ -63,17 +66,9 @@ EXIT_USAGE = 4
 
 ENV_WORKERS = "MEANDRIC_WORKERS"
 
-# The flag that sets each library cap a CapExceededError can name.
-_CAP_FLAGS = {"size_cap": "--size-cap", "max_half_length": "--max-half-length"}
-
 _GATES = ("none", *GATE_PROFILES)
 
-# The type a manifest parameter must have to be replayed: the type its
-# flag parses to.  Unlisted parameters (side-file digests) are compared.
-_PARAM_TYPES = {
-    **dict.fromkeys(("n", "r", "sizeCap", "samples", "seed", "halfLength", "maxHalfLength"), int),
-    **dict.fromkeys(("shape", "mode", "gate", "parse"), str),
-}
+_MODES = ("exact", "formula", "asymptotic")
 
 
 def payload_schema(subcommand: str) -> dict:
@@ -199,6 +194,8 @@ def _resolve_workers(flag_value: int | None, config: dict[str, str]) -> int:
 
 
 def _shapes_payload(params: dict) -> dict:
+    if ("parse" in params) == ("halfLength" in params):
+        raise UsageError("shapes needs exactly one of --half-length or --parse")
     if "parse" in params:
         shape = _shape(params["parse"])
         return {
@@ -232,7 +229,7 @@ def _moments_output(params: dict, workers: int, csv: bool) -> tuple[dict, str | 
         raise UsageError(f"r must be >= 0, got {r}")
     modes = params["mode"].split(",")
     for k, mode in enumerate(modes):
-        if mode not in ("exact", "formula", "asymptotic"):
+        if mode not in _MODES:
             raise UsageError(f"unknown mode {mode!r}")
         if mode in modes[:k]:
             raise UsageError(f"repeated mode {mode!r}")
@@ -271,46 +268,30 @@ def _moments_output(params: dict, workers: int, csv: bool) -> tuple[dict, str | 
     return payload, distribution_csv(distribution)
 
 
-def _sample_config(params: dict, worker_count: int) -> ExperimentConfig:
+def _sample_output(params: dict, workers: int, csv: bool) -> tuple[dict, str | None]:
+    """Summary payload, with the gate verdicts when a gate is set, plus
+    the per-sample CSV text when ``csv`` is set.  The samples are drawn
+    once for both."""
     shape = _shape(params["shape"])
     gate = params.get("gate", "none")
     if gate not in _GATES:
         raise UsageError(f"unknown gate {gate!r}; expected one of {', '.join(_GATES)}")
     try:
-        return ExperimentConfig(
+        cfg = ExperimentConfig(
             n=params["n"],
             sample_count=params["samples"],
             shape=shape,
             seed=params["seed"],
-            worker_count=worker_count,
+            worker_count=workers,
         )
     except (ValueError, MeandricError) as exc:  # a number out of range, or a shape beyond n
         raise UsageError(str(exc)) from None
-
-
-def _sample_output(params: dict, workers: int, csv: bool) -> tuple[dict, str | None]:
-    """Summary payload, with the gate verdicts when a gate is set, plus
-    the per-sample CSV text when ``csv`` is set.  The samples are drawn
-    once for both."""
-    cfg = _sample_config(params, workers)
     xs = samples_array(cfg)
     summary = summarize_samples(cfg, xs)
     payload = summary.to_json_dict()
-    if params.get("gate", "none") != "none":
-        payload["gates"] = evaluate_gates(summary, params["gate"]).to_json_dict()
+    if gate != "none":
+        payload["gates"] = evaluate_gates(summary, gate).to_json_dict()
     return payload, samples_csv(xs) if csv else None
-
-
-# Each subcommand's builder takes the parameters, the worker count and
-# whether to build the side file, and returns the payload and the side
-# file's text (None without one); results do not depend on the worker
-# count.  Beside it, the parameter that records the side file's digest.
-_BUILDERS = {
-    "shapes": (lambda params, workers, csv: (_shapes_payload(params), None), None),
-    "constants": (lambda params, workers, csv: (constants_report(_shape(params["shape"])), None), None),
-    "moments": (_moments_output, "distributionCsvSha256"),
-    "sample": (_sample_output, "csvSha256"),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -332,56 +313,31 @@ def _exact_digits():
             sys.set_int_max_str_digits(previous)
 
 
-def _run(sub: str, params: dict, args, workers: int) -> int:
-    """Build a subcommand's payload, write its side file when asked and
-    record the file's digest in ``params``, emit; a failed gate exits 2."""
-    build, digest_key = _BUILDERS[sub]
+def _run(args, config) -> int:
+    """Record a payload subcommand's arguments under their manifest keys,
+    build its payload, write its side file when asked and record the
+    file's digest, emit; a failed gate exits 2.  An unset flag is not
+    recorded, except the seed, which comes from the config file, else 0;
+    a shape to validate records no half-length cap."""
+    command = _COMMANDS[args.command]
+    workers = _resolve_workers(args.workers, config) if "workers" in args else 1
+    params = {}
+    for param in command.params:
+        value = getattr(args, param.flag.lstrip("-").replace("-", "_"))
+        if param.key == "seed" and value is None:
+            value = _as_int(config.get("seed", "0"), "config seed")
+        if param.key and value is not None:
+            params[param.key] = value
+    if "parse" in params:
+        del params["maxHalfLength"]
     csv_path = getattr(args, "csv", None)
     with _exact_digits():
-        payload, text = build(params, workers, bool(csv_path))
+        payload, text = command.build(params, workers, bool(csv_path))
         if text is not None:
             _write_output(csv_path, text)
-            params[digest_key] = hashlib.sha256(text.encode()).hexdigest()
-        _emit(sub, params, payload, args.out)
+            params[command.side_file.key] = hashlib.sha256(text.encode()).hexdigest()
+        _emit(args.command, params, payload, args.out)
     return EXIT_OK if payload.get("gates", {"pass": True})["pass"] else EXIT_GATE
-
-
-def _cmd_shapes(args, config) -> int:
-    if (args.half_length is None) == (args.parse is None):
-        raise UsageError("shapes needs exactly one of --half-length or --parse")
-    if args.parse is not None:
-        params = {"parse": args.parse}
-    else:
-        params = {"halfLength": args.half_length, "maxHalfLength": args.max_half_length}
-    return _run("shapes", params, args, 1)
-
-
-def _cmd_constants(args, config) -> int:
-    return _run("constants", {"shape": args.shape}, args, 1)
-
-
-def _cmd_moments(args, config) -> int:
-    params = {
-        "n": args.n,
-        "r": args.r,
-        "shape": args.shape,
-        "mode": args.mode,
-        "sizeCap": args.size_cap,
-    }
-    return _run("moments", params, args, 1)
-
-
-def _cmd_sample(args, config) -> int:
-    workers = _resolve_workers(args.workers, config)
-    seed = args.seed if args.seed is not None else _as_int(config.get("seed", "0"), "config seed")
-    params = {
-        "n": args.n,
-        "samples": args.samples,
-        "shape": args.shape,
-        "seed": seed,
-        "gate": args.gate,
-    }
-    return _run("sample", params, args, workers)
 
 
 def _cmd_verify(args, config) -> int:
@@ -413,26 +369,29 @@ def _cmd_replay(args, config) -> int:
         if key not in manifest:
             raise UsageError(f"{args.manifest}: manifest has no {key!r}")
     sub = manifest["subcommand"]
-    if sub not in _BUILDERS:
+    command = _COMMANDS.get(sub) if isinstance(sub, str) else None
+    if command is None or command.build is None:
         raise UsageError(f"cannot replay subcommand {sub!r}")
+    # Each parameter must have its flag's type; a side file's digest is compared.
+    types = {param.key: param.type for param in command.params}
     for key, value in manifest["parameters"].items():
-        kind = _PARAM_TYPES.get(key)
+        kind = types.get(key)
         if kind is not None and type(value) is not kind:
             noun = "an integer" if kind is int else "a string"
             raise UsageError(
                 f"{args.manifest}: {sub} parameter {key!r} must be {noun}, got {json.dumps(value)}"
             )
     params = manifest["parameters"]
-    build, digest_key = _BUILDERS[sub]
+    side = command.side_file
     try:
         with _exact_digits():
-            rebuilt, text = build(params, 1, digest_key in params)
+            rebuilt, text = command.build(params, 1, side is not None and side.key in params)
     except KeyError as exc:
         raise UsageError(f"{args.manifest}: {sub} parameters have no {exc}") from None
     digest = hashlib.sha256(_canonical(rebuilt)).hexdigest()
     ok = digest == manifest["payloadSha256"]
     if text is not None:
-        ok = ok and hashlib.sha256(text.encode()).hexdigest() == params[digest_key]
+        ok = ok and hashlib.sha256(text.encode()).hexdigest() == params[side.key]
     payload = {
         "subcommand": sub,
         "expectedSha256": manifest["payloadSha256"],
@@ -448,6 +407,91 @@ def _cmd_replay(args, config) -> int:
             file=sys.stderr,
         )
     return EXIT_OK if ok else EXIT_INVARIANT
+
+
+_REQUIRED = object()  # the default of a flag that must be given
+
+
+class _Param(NamedTuple):
+    """One argument of a subcommand: the manifest key that records it
+    (None for one the manifest leaves out), its flag, the type it parses
+    to (which replay checks too), its default and its help."""
+
+    key: str | None
+    flag: str
+    type: type = str
+    default: object = None
+    help: str | None = None
+
+
+class _Command(NamedTuple):
+    """One subcommand: its help, its arguments, and either the function that
+    runs it or, for ``_run`` and replay, its payload builder and side file,
+    whose key records the file's digest.  A builder takes the parameters,
+    the worker count and whether to build the side file, and returns the
+    payload and the side file's text (None without one); results do not
+    depend on the worker count."""
+
+    help: str
+    params: tuple[_Param, ...]
+    run: Callable | None = None
+    build: Callable | None = None
+    side_file: _Param | None = None
+
+
+_COMMANDS = {
+    "shapes": _Command(
+        "enumerate shapes of one half-length, or validate one",
+        (
+            _Param("halfLength", "--half-length", int),
+            _Param("parse", "--parse", help="shape text to validate (supp=..;up=..;lo=..)"),
+            _Param("maxHalfLength", "--max-half-length", int, DEFAULT_SHAPE_CAP),
+        ),
+        build=lambda params, workers, csv: (_shapes_payload(params), None),
+    ),
+    "constants": _Command(
+        "placement constants and CLT parameters of a shape",
+        (_Param("shape", "--shape", default=_REQUIRED),),
+        build=lambda params, workers, csv: (constants_report(_shape(params["shape"])), None),
+    ),
+    "moments": _Command(
+        "factorial moments: exact, closed form, asymptotic",
+        (
+            _Param("mode", "--mode", default="exact",
+                   help=f"comma list of {','.join(_MODES)}, each at most once"),
+            _Param("n", "--n", int, _REQUIRED),
+            _Param("r", "--r", int, _REQUIRED),
+            _Param("shape", "--shape", default=_REQUIRED),
+            _Param("sizeCap", "--size-cap", int, DEFAULT_SIZE_CAP),
+        ),
+        build=_moments_output,
+        side_file=_Param("distributionCsvSha256", "--distribution-csv",
+                         help="also write the exact count distribution as (x, count) rows"),
+    ),
+    "sample": _Command(
+        "Monte Carlo shape-count experiment",
+        (
+            _Param("n", "--n", int, _REQUIRED),
+            _Param("samples", "--samples", int, _REQUIRED),
+            _Param("shape", "--shape", default=_REQUIRED),
+            _Param("seed", "--seed", int),
+            _Param(None, "--workers", int),
+            _Param("gate", "--gate", default="none", help=f"one of {', '.join(_GATES)}"),
+        ),
+        build=_sample_output,
+        side_file=_Param("csvSha256", "--csv", help="write per-sample (position, count) rows here"),
+    ),
+    "verify": _Command(
+        "run the acceptance checks",
+        (_Param("suite", "--suite", default="small"), _Param(None, "--workers", int)),
+        run=_cmd_verify,
+    ),
+    "replay": _Command(
+        "recompute a previous output and compare digests",
+        (_Param("manifest", "manifest", help="path to a previous JSON output (or bare manifest)"),),
+        run=_cmd_replay,
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -467,57 +511,15 @@ def build_parser() -> _Parser:
     )
     parser.add_argument("--config", help="key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("shapes", help="enumerate shapes of one half-length, or validate one")
-    p.add_argument("--half-length", type=int, dest="half_length")
-    p.add_argument("--parse", help="shape text to validate (supp=..;up=..;lo=..)")
-    p.add_argument("--max-half-length", type=int, default=DEFAULT_SHAPE_CAP, dest="max_half_length")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_shapes)
-
-    p = sub.add_parser("constants", help="placement constants and CLT parameters of a shape")
-    p.add_argument("--shape", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_constants)
-
-    p = sub.add_parser("moments", help="factorial moments: exact, closed form, asymptotic")
-    p.add_argument(
-        "--mode", default="exact", help="comma list of exact,formula,asymptotic, each at most once"
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--shape", required=True)
-    p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP, dest="size_cap")
-    p.add_argument(
-        "--distribution-csv",
-        dest="csv",
-        help="also write the exact count distribution as (x, count) rows",
-    )
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_moments)
-
-    p = sub.add_parser("sample", help="Monte Carlo shape-count experiment")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--shape", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--gate", choices=_GATES, default="none")
-    p.add_argument("--csv", help="write per-sample (position, count) rows here")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("verify", help="run the acceptance checks")
-    p.add_argument("--suite", default="small")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("replay", help="recompute a previous output and compare digests")
-    p.add_argument("manifest", help="path to a previous JSON output (or bare manifest)")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_replay)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for param in command.params:
+            kwargs = {"required": True} if param.default is _REQUIRED else {"default": param.default}
+            p.add_argument(param.flag, type=param.type, help=param.help, **kwargs)
+        if command.side_file is not None:
+            p.add_argument(command.side_file.flag, dest="csv", help=command.side_file.help)
+        p.add_argument("--out")
+        p.set_defaults(func=command.run or _run)
     return parser
 
 
@@ -534,8 +536,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceededError as exc:
-        flag = _CAP_FLAGS.get(exc.override)
-        hint = f"; pass {flag} to override" if flag else ""
+        hint = f"; pass --{exc.override.replace('_', '-')} to override" if exc.override else ""
         print(f"refused: {exc.reason}{hint}", file=sys.stderr)
         return EXIT_USAGE
     except MeandricError as exc:

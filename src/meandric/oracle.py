@@ -106,8 +106,9 @@ def enumerate_systems(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> Iterator[Mean
 
 
 def _width(n: int, shape: Shape) -> int:
-    """Number of positions at which a copy of the shape can start."""
-    return 2 * n - 2 * shape.half_length + 1
+    """Number of positions at which a copy of the shape can start: none
+    for a shape wider than the system."""
+    return max(0, 2 * n - 2 * shape.half_length + 1)
 
 
 @lru_cache(maxsize=128)
@@ -184,8 +185,6 @@ def _exact_counts(n: int, shape: Shape) -> np.ndarray:
 def exact_distribution(n: int, shape: Shape, size_cap: int = DEFAULT_SIZE_CAP) -> dict[int, int]:
     """Histogram of the shape count over all ``catalan(n)**2`` systems."""
     _check_cap(n, size_cap)
-    if 2 * shape.half_length > 2 * n:
-        return {0: catalan(n) ** 2}
     counts = _exact_counts(n, shape)
     sets = np.flatnonzero(counts)
     width = _width(n, shape)
@@ -264,8 +263,6 @@ def block_spectrum(
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     span = 2 * shape.half_length
-    if span > 2 * n:
-        return {}
     up, lo = _superset_sums(n, shape)
     popcounts = np.bitwise_count(np.arange(1 << _width(n, shape), dtype=np.int32))
     sets = np.flatnonzero(popcounts == r)

@@ -257,6 +257,75 @@ def test_sample_gate_failure_exit_code(tmp_path):
     assert doc["payload"]["gates"]["pass"] is False
 
 
+@pytest.mark.parametrize(
+    "argv,code,parameters",
+    [
+        (["shapes", "--half-length", "2"], EXIT_OK, {"halfLength": 2, "maxHalfLength": 5}),
+        (["shapes", "--parse", LOOP], EXIT_OK, {"parse": LOOP}),
+        (["constants", "--shape", LOOP], EXIT_OK, {"shape": LOOP}),
+        (
+            ["moments", "--mode", "exact,formula", "--n", "5", "--r", "2", "--shape", LOOP,
+             "--distribution-csv", "side.csv"],
+            EXIT_OK,
+            {
+                "n": 5,
+                "r": 2,
+                "shape": LOOP,
+                "mode": "exact,formula",
+                "sizeCap": 8,
+                "distributionCsvSha256": "6f0a4fc56d87970e8d0060cc1914b42ba4771e6b3c68f4e2e82e3c813734f08b",
+            },
+        ),
+        (
+            # The seed comes from the config file; at n = 20 the full gate fails.
+            ["--config", "seed.cfg", "sample", "--n", "20", "--samples", "25", "--shape", LOOP,
+             "--gate", "full", "--csv", "side.csv"],
+            EXIT_GATE,
+            {
+                "n": 20,
+                "samples": 25,
+                "shape": LOOP,
+                "seed": 11,
+                "gate": "full",
+                "csvSha256": "8c8ac9fa0afe5083ed30ceb5cf6e922d12a661e9c1fc6273dde120063e95c16f",
+            },
+        ),
+    ],
+    ids=["shapes-half-length", "shapes-parse", "constants", "moments-csv", "sample-config-seed"],
+)
+def test_manifest_parameters_and_replay(capsys, tmp_path, monkeypatch, argv, code, parameters):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "seed.cfg").write_text("seed = 11\n")
+    assert main([*argv, "--out", "run.json"]) == code
+    assert json.loads((tmp_path / "run.json").read_text())["manifest"]["parameters"] == parameters
+    replayed, out, err = run_cli(capsys, "replay", "run.json")
+    assert (replayed, err) == (EXIT_OK, "")
+    assert json.loads(out)["payload"]["match"] is True
+
+
+def test_sample_help_names_the_gates(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sample", "--help"])
+    assert exit_info.value.code == 0
+    assert "none, meanvar, full" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "parameters",
+    [{"parse": LOOP, "halfLength": 2, "maxHalfLength": 5}, {"maxHalfLength": 5}],
+    ids=["both", "neither"],
+)
+def test_replay_of_shapes_needs_exactly_one_mode(capsys, tmp_path, monkeypatch, parameters):
+    monkeypatch.chdir(tmp_path)
+    assert main(["shapes", "--parse", LOOP, "--out", "run.json"]) == EXIT_OK
+    doc = json.loads((tmp_path / "run.json").read_text())
+    doc["manifest"]["parameters"] = parameters
+    (tmp_path / "edited.json").write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "replay", "edited.json")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "usage error: shapes needs exactly one of --half-length or --parse\n"
+
+
 def _cli_child(argv, timeout=None, preexec_fn=None):
     path = str(Path(meandric.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
@@ -409,6 +478,7 @@ def test_cap_exceeded_is_refused(capsys, tmp_path, monkeypatch, argv, message):
         ),
         (["replay", "no-digest.json"], "no-digest.json: manifest has no 'payloadSha256'"),
         (["replay", "no-shape.json"], "no-shape.json: moments parameters have no 'shape'"),
+        (["replay", "list-command.json"], "cannot replay subcommand ['sample']"),
         (["replay", "absent.json"], "[Errno 2] No such file or directory: 'absent.json'"),
         (["replay", "folder"], "[Errno 21] Is a directory: 'folder'"),
         (["--config", "folder", "shapes", "--half-length", "1"], "[Errno 21] Is a directory: 'folder'"),
@@ -449,6 +519,10 @@ def test_cap_exceeded_is_refused(capsys, tmp_path, monkeypatch, argv, message):
             ["sample", "--n", "3", "--samples", "10", "--shape", WEAK_L5, "--seed", "0"],
             "shape of half-length 5 cannot fit in a size-3 system",
         ),
+        (
+            ["sample", "--n", "5", "--samples", "3", "--shape", LOOP, "--gate", "bogus"],
+            "unknown gate 'bogus'; expected one of none, meanvar, full",
+        ),
     ],
     ids=[
         "out-dir",
@@ -460,6 +534,7 @@ def test_cap_exceeded_is_refused(capsys, tmp_path, monkeypatch, argv, message):
         "replay-not-json",
         "replay-no-digest",
         "replay-no-parameter",
+        "replay-subcommand-not-text",
         "replay-absent",
         "replay-dir",
         "config-dir",
@@ -476,6 +551,7 @@ def test_cap_exceeded_is_refused(capsys, tmp_path, monkeypatch, argv, message):
         "verify-out-dir",
         "verify-workers-not-int",
         "sample-shape-beyond-n",
+        "sample-gate-unknown",
     ],
 )
 def test_bad_path_or_input_is_usage_error(capsys, tmp_path, monkeypatch, argv, message):
@@ -488,6 +564,9 @@ def test_bad_path_or_input_is_usage_error(capsys, tmp_path, monkeypatch, argv, m
     )
     (tmp_path / "no-shape.json").write_text(
         json.dumps({"subcommand": "moments", "parameters": {"n": 3}, "payloadSha256": "0"})
+    )
+    (tmp_path / "list-command.json").write_text(
+        json.dumps({"subcommand": ["sample"], "parameters": {}, "payloadSha256": "0"})
     )
     (tmp_path / "folder").mkdir()
     (tmp_path / "latin1.cfg").write_bytes(b"seed = 1 \xe9\n")

@@ -42,7 +42,10 @@ def test_distribution_examples(loop1):
 
 
 def test_distribution_shape_too_large(weak_l5):
-    assert exact_distribution(3, weak_l5) == {0: catalan(3) ** 2}
+    # No copy of a half-length-5 shape fits, so there is one empty position set.
+    for n in (1, 2, 3, 4):
+        assert exact_distribution(n, weak_l5) == {0: catalan(n) ** 2}
+        assert block_spectrum(n, 2, weak_l5) == {}
 
 
 def test_distribution_against_tracing(weak_l5):
