@@ -7,7 +7,9 @@ optional statistical gates), ``verify`` (the acceptance checks), and
 ``replay`` (re-run a previous output's manifest and compare digests).
 Each is declared once, in ``_COMMANDS``: its flags with the manifest key,
 type and default of each, and its payload builder.  The parser, the
-manifest parameters and replay's type check all read that table.
+manifest parameters, replay's type check and the defaults a replayed
+manifest may leave out all read that table.  A call builds the root parser
+and only the parser of the subcommand it dispatches to.
 
 Every JSON output is wrapped as ``{"manifest": ..., "payload": ...}``; the
 manifest records the subcommand, the fully resolved parameters, the engine
@@ -57,7 +59,6 @@ from .sampling import (
     samples_csv,
     summarize_samples,
 )
-from . import verify as verify_mod
 
 EXIT_OK = 0
 EXIT_GATE = 2
@@ -233,12 +234,13 @@ def _moments_output(params: dict, workers: int, csv: bool) -> tuple[dict, str | 
             raise UsageError(f"unknown mode {mode!r}")
         if mode in modes[:k]:
             raise UsageError(f"repeated mode {mode!r}")
+    size_cap = params.get("sizeCap", _default("moments", "sizeCap"))
     constants = shape_constants(shape)
     payload: dict = {"n": n, "r": r, "shape": format_shape(shape), "strong": constants.is_strong}
     values: dict[str, Fraction] = {}
     distribution = None
     if "exact" in modes:
-        report = moment_report(n, r, shape, size_cap=params.get("sizeCap", DEFAULT_SIZE_CAP))
+        report = moment_report(n, r, shape, size_cap=size_cap)
         distribution = report.distribution
         payload["exactMoment"] = fraction_json(report.exact_moment)
         payload["lowerBoundRFr"] = fraction_json(report.lower_bound)
@@ -264,7 +266,7 @@ def _moments_output(params: dict, workers: int, csv: bool) -> tuple[dict, str | 
     from .oracle import distribution_csv, exact_distribution
 
     if distribution is None:
-        distribution = exact_distribution(n, shape, size_cap=params.get("sizeCap", DEFAULT_SIZE_CAP))
+        distribution = exact_distribution(n, shape, size_cap=size_cap)
     return payload, distribution_csv(distribution)
 
 
@@ -273,7 +275,7 @@ def _sample_output(params: dict, workers: int, csv: bool) -> tuple[dict, str | N
     the per-sample CSV text when ``csv`` is set.  The samples are drawn
     once for both."""
     shape = _shape(params["shape"])
-    gate = params.get("gate", "none")
+    gate = params.get("gate", _default("sample", "gate"))
     if gate not in _GATES:
         raise UsageError(f"unknown gate {gate!r}; expected one of {', '.join(_GATES)}")
     try:
@@ -341,6 +343,8 @@ def _run(args, config) -> int:
 
 
 def _cmd_verify(args, config) -> int:
+    from . import verify as verify_mod
+
     if args.suite not in verify_mod.SUITES:
         raise UsageError(f"unknown suite {args.suite!r}; expected {' or '.join(verify_mod.SUITES)}")
     workers = _resolve_workers(args.workers, config)
@@ -494,9 +498,38 @@ _COMMANDS = {
 }
 
 
+def _default(subcommand: str, key: str):
+    """The default ``_COMMANDS`` declares for one manifest key, which a
+    builder reads where a replayed manifest leaves the key out."""
+    return next(param.default for param in _COMMANDS[subcommand].params if param.key == key)
+
+
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
+
+
+class _Subparser:
+    """A subcommand's parser, built only when argparse dispatches to it.
+
+    ``add_parser`` makes one per subcommand, and argparse calls nothing on
+    it but ``parse_known_args`` (3.10 to 3.13), so a call builds the parser
+    of the subcommand it runs and no other."""
+
+    def __init__(self, command: _Command, **kwargs):
+        self.command = command
+        self.kwargs = kwargs  # prog and whatever else argparse passes a subparser
+
+    def parse_known_args(self, args=None, namespace=None):
+        command, p = self.command, _Parser(**self.kwargs)
+        for param in command.params:
+            kwargs = {"required": True} if param.default is _REQUIRED else {"default": param.default}
+            p.add_argument(param.flag, type=param.type, help=param.help, **kwargs)
+        if command.side_file is not None:
+            p.add_argument(command.side_file.flag, dest="csv", help=command.side_file.help)
+        p.add_argument("--out")
+        p.set_defaults(func=command.run or _run)
+        return p.parse_known_args(args, namespace)
 
 
 def build_parser() -> _Parser:
@@ -510,16 +543,10 @@ def build_parser() -> _Parser:
         ),
     )
     parser.add_argument("--config", help="key=value config file")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # prog is given so that argparse does not format the root usage to find it.
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog, parser_class=_Subparser)
     for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        for param in command.params:
-            kwargs = {"required": True} if param.default is _REQUIRED else {"default": param.default}
-            p.add_argument(param.flag, type=param.type, help=param.help, **kwargs)
-        if command.side_file is not None:
-            p.add_argument(command.side_file.flag, dest="csv", help=command.side_file.help)
-        p.add_argument("--out")
-        p.set_defaults(func=command.run or _run)
+        sub.add_parser(name, help=command.help, command=command)
     return parser
 
 

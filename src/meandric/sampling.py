@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -244,6 +243,10 @@ def _run_chunks(worker, args_list: list, worker_count: int) -> list:
     workers = min(worker_count, len(args_list), os.cpu_count() or 1)
     if workers <= 1:
         return [worker(a) for a in args_list]
+    # Imported only here, where a pool starts: it loads multiprocessing,
+    # socket, subprocess and logging, which no serial run needs.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, args_list, chunksize=1))
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -18,6 +19,7 @@ from meandric.cli import (
     EXIT_INVARIANT,
     EXIT_OK,
     EXIT_USAGE,
+    _COMMANDS,
     _exact_digits,
     main,
     payload_schema,
@@ -833,3 +835,222 @@ def test_import_loads_no_scipy():
     code = "import sys, meandric; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_import_loads_no_process_pool_and_no_verify():
+    # Only ``--workers > 1`` starts a process pool and only ``verify`` runs
+    # the acceptance checks: ``concurrent.futures.process`` (multiprocessing,
+    # socket, subprocess, logging) and ``meandric.verify`` load where used.
+    env = {**os.environ, "PYTHONPATH": str(Path(meandric.__file__).parents[1])}
+    code = (
+        "import sys, meandric.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('concurrent', 'multiprocessing') or m == 'meandric.verify'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+# The exact text of each help page at 80 columns: the guard that building a
+# subcommand's parser only when it runs changes nothing a user reads.
+HELP_TEXT = {
+    "meandric": """\
+usage: meandric [-h] [--config CONFIG]
+                {shapes,constants,moments,sample,verify,replay} ...
+
+Exact and Monte Carlo statistics of loop shapes in random meandric systems.
+
+positional arguments:
+  {shapes,constants,moments,sample,verify,replay}
+    shapes              enumerate shapes of one half-length, or validate one
+    constants           placement constants and CLT parameters of a shape
+    moments             factorial moments: exact, closed form, asymptotic
+    sample              Monte Carlo shape-count experiment
+    verify              run the acceptance checks
+    replay              recompute a previous output and compare digests
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       key=value config file
+
+Config file: plain key=value lines (comments with #); the keys are workers and
+seed, each at most once. Flags override the config file, which overrides the
+MEANDRIC_WORKERS environment variable.
+""",
+    "shapes": """\
+usage: meandric shapes [-h] [--half-length HALF_LENGTH] [--parse PARSE]
+                       [--max-half-length MAX_HALF_LENGTH] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --half-length HALF_LENGTH
+  --parse PARSE         shape text to validate (supp=..;up=..;lo=..)
+  --max-half-length MAX_HALF_LENGTH
+  --out OUT
+""",
+    "constants": """\
+usage: meandric constants [-h] --shape SHAPE [--out OUT]
+
+options:
+  -h, --help     show this help message and exit
+  --shape SHAPE
+  --out OUT
+""",
+    "moments": """\
+usage: meandric moments [-h] [--mode MODE] --n N --r R --shape SHAPE
+                        [--size-cap SIZE_CAP] [--distribution-csv CSV]
+                        [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --mode MODE           comma list of exact,formula,asymptotic, each at most
+                        once
+  --n N
+  --r R
+  --shape SHAPE
+  --size-cap SIZE_CAP
+  --distribution-csv CSV
+                        also write the exact count distribution as (x, count)
+                        rows
+  --out OUT
+""",
+    "sample": """\
+usage: meandric sample [-h] --n N --samples SAMPLES --shape SHAPE
+                       [--seed SEED] [--workers WORKERS] [--gate GATE]
+                       [--csv CSV] [--out OUT]
+
+options:
+  -h, --help         show this help message and exit
+  --n N
+  --samples SAMPLES
+  --shape SHAPE
+  --seed SEED
+  --workers WORKERS
+  --gate GATE        one of none, meanvar, full
+  --csv CSV          write per-sample (position, count) rows here
+  --out OUT
+""",
+    "verify": """\
+usage: meandric verify [-h] [--suite SUITE] [--workers WORKERS] [--out OUT]
+
+options:
+  -h, --help         show this help message and exit
+  --suite SUITE
+  --workers WORKERS
+  --out OUT
+""",
+    "replay": """\
+usage: meandric replay [-h] [--out OUT] manifest
+
+positional arguments:
+  manifest    path to a previous JSON output (or bare manifest)
+
+options:
+  -h, --help  show this help message and exit
+  --out OUT
+""",
+}
+
+
+def _help_page(capsys, monkeypatch, *argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--help"])
+    captured = capsys.readouterr()
+    assert (exit_info.value.code, captured.err) == (0, "")
+    return captured.out
+
+
+@pytest.mark.parametrize("page", sorted(HELP_TEXT))
+def test_help_text(capsys, monkeypatch, page):
+    argv = [] if page == "meandric" else [page]
+    assert _help_page(capsys, monkeypatch, *argv) == HELP_TEXT[page]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([], "the following arguments are required: command"),
+        (
+            ["frobnicate"],
+            "argument command: invalid choice: 'frobnicate' "
+            "(choose from 'shapes', 'constants', 'moments', 'sample', 'verify', 'replay')",
+        ),
+        (["moments", "--n", "9"], "the following arguments are required: --r, --shape"),
+        (["sample", "--n", "x", "--samples", "3", "--shape", LOOP], "argument --n: invalid int value: 'x'"),
+        (["shapes", "--half-length", "1", "--bogus"], "unrecognized arguments: --bogus"),
+        (["--config", "cfg"], "the following arguments are required: command"),
+        (["--config", "cfg", "frobnicate"], "argument command: invalid choice: 'frobnicate' "
+         "(choose from 'shapes', 'constants', 'moments', 'sample', 'verify', 'replay')"),
+        (["--config", "cfg", "moments", "--r", "1"], "the following arguments are required: --n, --shape"),
+    ],
+    ids=["no-subcommand", "unknown-subcommand", "missing-flag", "bad-int", "unrecognized",
+         "config-only", "config-unknown-subcommand", "config-missing-flag"],
+)
+def test_usage_error_text(capsys, monkeypatch, argv, message):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (EXIT_USAGE, "", f"usage error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "spelled",
+    [
+        ["sample", "--sam", "3", "--n", "6", "--shape", LOOP, "--seed", "2"],
+        ["sample", "--samples=3", "--n=6", f"--shape={LOOP}", "--seed=2"],
+        ["sample", "--sa=3", "--n", "6", "--sh", LOOP, "--see=2", "--g", "none"],
+    ],
+    ids=["abbreviated", "equals", "both"],
+)
+def test_abbreviated_and_equals_flags_parse_alike(capsys, tmp_path, monkeypatch, spelled):
+    monkeypatch.chdir(tmp_path)
+    plain = ["sample", "--n", "6", "--samples", "3", "--shape", LOOP, "--seed", "2"]
+    docs = []
+    for argv in (plain, spelled):
+        code, doc = run_json(capsys, *argv)
+        assert code == EXIT_OK
+        docs.append(doc)
+    assert docs[1]["manifest"]["parameters"] == docs[0]["manifest"]["parameters"]
+    assert docs[1]["payload"] == docs[0]["payload"]
+
+
+def _count_parsers(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
+def test_a_call_builds_the_root_and_its_own_parser(capsys, monkeypatch):
+    built = _count_parsers(monkeypatch)
+    code, _ = run_json(capsys, "moments", "--mode", "formula", "--n", "9", "--r", "2", "--shape", LOOP)
+    assert code == EXIT_OK
+    assert built == ["meandric", "meandric moments"]
+
+
+@pytest.mark.parametrize("name", sorted(_COMMANDS))
+def test_help_names_every_declared_flag(capsys, monkeypatch, name):
+    # Table-driven: each flag ``_COMMANDS`` declares, its side file's too,
+    # is on the subcommand's help page, and the page builds one subparser.
+    built = _count_parsers(monkeypatch)
+    page = _help_page(capsys, monkeypatch, name)
+    assert built == ["meandric", f"meandric {name}"]
+    command = _COMMANDS[name]
+    for param in (*command.params, *filter(None, [command.side_file])):
+        assert re.search(rf"(^|\s){re.escape(param.flag)}(\s|$)", page), param.flag
+
+
+def test_replay_without_size_cap_runs_at_the_default(capsys, tmp_path, monkeypatch):
+    # A manifest that leaves out ``sizeCap`` replays at the declared default.
+    monkeypatch.chdir(tmp_path)
+    assert main(["moments", "--mode", "exact", "--n", "6", "--r", "2", "--shape", LOOP, "--out", "run.json"]) == EXIT_OK
+    doc = json.loads((tmp_path / "run.json").read_text())
+    del doc["manifest"]["parameters"]["sizeCap"]
+    (tmp_path / "edited.json").write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "replay", "edited.json")
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["payload"]["match"] is True

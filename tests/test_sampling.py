@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 import sys
@@ -275,7 +276,7 @@ def test_worker_pool_is_capped_by_chunks_and_cores(loop1, monkeypatch):
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
-    monkeypatch.setattr(sampling, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     cfg = ExperimentConfig(
         n=20, sample_count=3 * sampling._CHUNK, shape=loop1, seed=5, worker_count=10**6
     )
