@@ -4,11 +4,12 @@ Catalan numbers, binomial coefficients, and non-crossing perfect matchings
 of ``{1, ..., 2n}``.  All arithmetic here is exact.
 
 Matchings are handled in bulk as rows of Dyck path heights, ``H[t]``
-after t steps.  Enumeration grows all paths of a size a column of
-heights at a time (:func:`_dyck_walks`); the sampler rotates random
-walks into Dyck paths (:func:`_rotated_heights`).  Shape counts read the
-heights directly.  A single matching is a :class:`NonCrossingMatching`
-partner tuple, built from one row of heights by the stack bijection,
+after t steps.  Enumeration fills one matrix of all paths of a size a
+column of heights at a time, each row stepping by its rank
+(:func:`_dyck_walks`); the sampler rotates random walks into Dyck paths
+(:func:`_rotated_heights`).  Shape counts read the heights directly.  A
+single matching is a :class:`NonCrossingMatching` partner tuple, built
+from one row of heights by the stack bijection,
 :func:`_matching_from_heights`, the only place steps are paired.
 :func:`arcs_noncrossing` is the one crossing test, for matchings and
 shapes alike.
@@ -55,24 +56,44 @@ def choose(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _completions(steps: int, height: int) -> int:
+    """Number of ways to walk down from ``height`` to 0 in ``steps`` steps of
+    +-1 without falling below 0 (a ballot number; 0 when none fits).  The
+    parity of ``steps - height`` must be even."""
+    downs = (steps + height) // 2
+    return choose(steps, downs) - choose(steps, downs + 1)
+
+
 def _dyck_walks(n: int) -> np.ndarray:
     """Every Dyck path with ``n`` up-steps as one int16 row of its
     ``2n + 1`` heights.
 
-    The rows grow one column at a time: every prefix spawns its up child,
-    then its down child.  After t steps at height h a path has taken
-    ``(t + h) / 2`` up-steps, so it may go up while ``h < 2n - t``.  So the
-    rows come in lexicographic order of their steps with up before down:
-    the rainbow's path ``0, 1, ..., n, ..., 1, 0`` first and the zigzag
-    ``0, 1, 0, ..., 1, 0`` last."""
+    The rows come in lexicographic order of their steps with up before
+    down: the rainbow's path ``0, 1, ..., n, ..., 1, 0`` first and the
+    zigzag ``0, 1, 0, ..., 1, 0`` last.  So row k is the path of rank k,
+    and one preallocated matrix is filled a column at a time, with no copy
+    of the rows.  Each row keeps its rank among the rows that share its
+    prefix.  Of those at height h after t steps, the first ``c =
+    _completions(2n - t - 1, h + 1)`` step up; so a row steps up while its
+    rank is below c, and otherwise subtracts c and steps down."""
     if n < 0:
         raise ValueError(f"enumerate_matchings undefined for n={n}")
-    walks = np.zeros((1, 2 * n + 1), dtype=np.int16)
+    count = catalan(n)
+    dtype = np.int32 if count < 2**31 else np.int64
+    walks = np.empty((count, 2 * n + 1), dtype=np.int16)
+    walks[:, 0] = 0
+    rank = np.arange(count, dtype=dtype)
+    height = np.zeros(count, dtype=np.int16)
     for t in range(2 * n):
-        height = walks[:, t]
-        parent, down = np.nonzero(np.stack([height < 2 * n - t, height > 0], 1))
-        walks = walks[parent]
-        walks[:, t + 1] = walks[:, t] + 1 - 2 * down
+        up_rows = np.array([_completions(2 * n - t - 1, h + 1) for h in range(n + 1)], dtype=dtype)
+        c = up_rows[height]
+        down = rank >= c
+        c *= down
+        rank -= c
+        height += 1
+        height -= down
+        height -= down
+        walks[:, t + 1] = height
     return walks
 
 

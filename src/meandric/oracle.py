@@ -23,15 +23,17 @@ mask and summed over supersets (``width`` in-place numpy butterflies over
 the set S.  Pair probabilities and block spectra read that product
 directly; one superset Moebius inversion turns it into the number of
 systems whose copies sit exactly at T, whose histogram by ``|T|``
-(``np.bitwise_count``) is the distribution.  A factorial moment weights
-each count x by ``math.perm(x, r)``, 0 at once when r exceeds x.  No step
-loops over masks in Python.  ``U`` and ``L`` count matchings, so they are
-int32 below the guard ``catalan(n) < 2**31``; their product and all that
-follows it is int64, exact because every intermediate value counts
-systems.  For the simple loop, whose two halves are equal, on a cold cache
-(2 cores, Python 3.11.7, numpy 2.4.6), a distribution takes about 0.005 s
-at n=9 (2**17 sets), 0.023 s at n=10, 0.08 s at n=11 and 0.34 s at n=12,
-enumeration included.  Sets of over ``MAX_MASK_WIDTH`` positions are refused.
+(``np.bitwise_count``, summed in int64) is the distribution.  A factorial
+moment weights each count x by ``math.perm(x, r)``, 0 at once when r
+exceeds x.  No step loops over masks in Python.  ``U`` and ``L`` count
+matchings, so they are int32 below the guard ``catalan(n) < 2**31``.
+Every value after them counts systems, at most ``catalan(n)**2``, so
+while that is below ``2**31`` (n <= 10) the product and the inversion
+are int32, in U's own array; from n = 11 they are int64.  For the simple
+loop, whose two halves are equal, in a fresh process (2 cores, Python
+3.11.7, numpy 2.4.6), a distribution takes about 0.005 s at n=9 (2**17
+sets), 0.020 s at n=10, 0.098 s at n=11 and 0.41 s at n=12, enumeration
+included.  Sets of over ``MAX_MASK_WIDTH`` positions are refused.
 """
 
 from __future__ import annotations
@@ -135,9 +137,11 @@ def _superset_sums(n: int, shape: Shape) -> tuple[np.ndarray, np.ndarray]:
     S (bit ``i-1`` for position i), and ``L[S]`` the same for the lower.
     So ``U[S] * L[S]`` counts the systems with copies at every position
     of S.  Both count matchings, so they are int32 below the guard's
-    ``catalan(n) < 2**31``; a product must be widened to int64.  Equal
-    masks are folded once and the one array is returned twice, so both
-    are read-only."""
+    ``catalan(n) < 2**31``, counted by distinct mask with no int64 bin
+    array.  Equal masks are folded once and the one array is returned
+    twice, so both are read-only.  They are built afresh on every call,
+    so a caller done with them may take them over, as
+    :func:`_exact_counts` does."""
     width = _width(n, shape)
     if width > MAX_MASK_WIDTH or catalan(n) >= 2**31:
         raise CapExceededError(
@@ -145,12 +149,14 @@ def _superset_sums(n: int, shape: Shape) -> tuple[np.ndarray, np.ndarray]:
             f"{shape.half_length} shape; the oracle stops at 2**{MAX_MASK_WIDTH}"
         )
     up, lo = _occurrence_masks(n, shape)
-    sums = [
-        _fold_supersets(np.bincount(mask, minlength=1 << width).astype(np.int32), np.add)
-        for mask in ((up,) if up is lo else (up, lo))
-    ]
-    for counts in sums:
+    sums = []
+    for mask in (up,) if up is lo else (up, lo):
+        counts = np.zeros(1 << width, dtype=np.int32)
+        sets, matchings = np.unique(mask, return_counts=True)
+        counts[sets] = matchings
+        _fold_supersets(counts, np.add)
         counts.flags.writeable = False
+        sums.append(counts)
     return sums[0], sums[-1]
 
 
@@ -171,9 +177,18 @@ def _exact_counts(n: int, shape: Shape) -> np.ndarray:
     every T: the superset Moebius inversion of ``U * L``.
 
     Each partial inversion step still counts systems, so every entry
-    stays in ``[0, catalan(n)**2]`` and int64 is exact."""
+    stays in ``[0, catalan(n)**2]``.  While ``catalan(n)**2 < 2**31``
+    (n <= 10) the product and the inversion are int32 and run in U's own
+    array, which this call takes over from :func:`_superset_sums` (for
+    equal halves U is L, and U * U squares in place).  From n = 11 the
+    product is a new int64 array."""
     up, lo = _superset_sums(n, shape)
-    counts = _fold_supersets(np.multiply(up, lo, dtype=np.int64), np.subtract)
+    if catalan(n) ** 2 < 2**31:
+        up.flags.writeable = True
+        counts = np.multiply(up, lo, out=up)
+    else:
+        counts = np.multiply(up, lo, dtype=np.int64)
+    _fold_supersets(counts, np.subtract)
     if counts.min() < 0 or int(counts.sum()) != catalan(n) ** 2:
         raise OracleInvariantError(
             f"exact occurrence counts at n={n} shape={format_shape(shape)} are not a "
@@ -189,7 +204,7 @@ def exact_distribution(n: int, shape: Shape, size_cap: int = DEFAULT_SIZE_CAP) -
     sets = np.flatnonzero(counts)
     width = _width(n, shape)
     histogram = np.zeros(width + 1, dtype=np.int64)
-    np.add.at(histogram, np.bitwise_count(sets), counts[sets])
+    np.add.at(histogram, np.bitwise_count(sets), counts[sets].astype(np.int64, copy=False))
     return {x: int(c) for x, c in enumerate(histogram) if c}
 
 

@@ -10,7 +10,7 @@ from meandric.analysis import disjoint_moment_term, factorial_moment_strong, sha
 from meandric.combinatorics import catalan
 from meandric import oracle
 from meandric.errors import CapExceededError, FormulaMismatchError, OracleInvariantError
-from meandric.meanders import count_shape, enumerate_shapes, simple_loop
+from meandric.meanders import count_shape, enumerate_shapes, parse_shape, simple_loop
 from meandric.oracle import (
     MAX_MASK_WIDTH,
     block_spectrum,
@@ -102,9 +102,10 @@ def test_mask_width_cap(loop1):
 def test_distribution_memory(loop1):
     # At n = 11 there are 2**21 position sets.  Int64 U and L with a third
     # array for U * L peaked at 49.1 MiB, and the product formed in U at
-    # 33.3 MiB.  The simple loop's equal halves now share one int32 array
-    # (8 MiB) beside the int64 product, which peaks at 24.6 MiB
-    # (tracemalloc, numpy 2.4.6).
+    # 33.3 MiB.  The simple loop's equal halves share one int32 array
+    # (8 MiB) beside the int64 product, which peaks at 24.6 MiB; the
+    # masks are counted into U with no int64 bin array, which no longer
+    # sets the peak (tracemalloc, numpy 2.4.6).
     tracemalloc.start()
     try:
         exact_distribution(11, loop1, size_cap=11)
@@ -112,6 +113,35 @@ def test_distribution_memory(loop1):
     finally:
         tracemalloc.stop()
     assert peak < 29 * 2**20
+
+
+def test_int32_distribution_memory(loop1):
+    # At n = 10 the 2**19 int32 counts alone take 2 MiB.  An int64 bin
+    # array, its int32 copy and an int64 product peaked at 6.19 MiB; the
+    # counts, their product and its inversion in one int32 array peak at
+    # 2.33 MiB (tracemalloc, numpy 2.4.6).
+    oracle._occurrence_masks(10, loop1)
+    tracemalloc.start()
+    try:
+        exact_distribution(10, loop1, size_cap=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+
+
+@pytest.mark.parametrize("n", [10, 11])
+@pytest.mark.parametrize("text", ["supp=1,2;up=1-2;lo=1-2", "supp=1,2,3,4;up=1-4,2-3;lo=1-2,3-4"])
+def test_int32_and_int64_paths_meet(n, text):
+    # n = 10 is the last size whose catalan(n)**2 fits int32, n = 11 the
+    # first that needs int64; the second shape's halves differ.
+    shape = parse_shape(text)
+    fits = catalan(n) ** 2 < 2**31
+    assert fits == (n == 10)
+    assert oracle._exact_counts(n, shape).dtype == (np.int32 if fits else np.int64)
+    assert sum(exact_distribution(n, shape, size_cap=n).values()) == catalan(n) ** 2
+    for r in (1, 2, 3):
+        assert exact_factorial_moment(n, r, shape, size_cap=n) == factorial_moment_strong(n, r, shape)
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])

@@ -236,8 +236,9 @@ def test_uniformity_memory_grows_with_the_outcomes():
     # Binning by code would take 4**n int64 bins per chunk (384 MiB at peak
     # for n = 12); the outcomes number catalan(12) = 208012.  Their codes
     # taken as a bool @ int64 product peaked at 54.4 MiB; ORing the step
-    # columns into the codes peaks at 26.6 MiB, the peak of
-    # ``_dyck_walks(12)`` (tracemalloc, numpy 2.4.6).
+    # columns into the codes peaked at 26.6 MiB, the peak of
+    # ``_dyck_walks(12)`` when it copied its rows at every step, and peaks
+    # at 16.3 MiB with the walks filled by rank (tracemalloc, numpy 2.4.6).
     tracemalloc.start()
     try:
         matching_uniformity(12, 10, seed=1)
