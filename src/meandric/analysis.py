@@ -401,8 +401,11 @@ def log_factorial_moment_asymptotic(n: int, r: int, shape: Shape) -> float:
     The leading factor is ``(2 n W / 4**e) ** r`` with W the face weight
     and e the normalizer exponent; the exponential correction combines
     the placement-exclusion term with the overlap corrections.  For a
-    strong shape the correction sum is empty.
+    strong shape the correction sum is empty.  n below 1 or r below 0
+    raises ValueError.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
     if r == 0:

@@ -8,8 +8,13 @@ optional statistical gates), ``verify`` (the acceptance checks), and
 Each is declared once, in ``_COMMANDS``: its flags with the manifest key,
 type and default of each, and its payload builder.  The parser, the
 manifest parameters, replay's type check and the defaults a replayed
-manifest may leave out all read that table.  A call builds the root parser
-and only the parser of the subcommand it dispatches to.
+manifest may leave out all read that table.  So does ``_parse_plain``,
+which turns the spelling the README uses (an optional leading ``--config
+PATH``, the subcommand, ``--flag value`` pairs and replay's positional)
+into the namespace argparse would return, without building a parser.  Any
+other command line (help, ``--flag=value``, abbreviations, a bad or missing
+value) goes to the argparse parser, which judges it and writes every help
+page and usage error.
 
 Every JSON output is wrapped as ``{"manifest": ..., "payload": ...}``; the
 manifest records the subcommand, the fully resolved parameters, the engine
@@ -509,27 +514,14 @@ def _default(subcommand: str, key: str):
 # ---------------------------------------------------------------------------
 
 
-class _Subparser:
-    """A subcommand's parser, built only when argparse dispatches to it.
-
-    ``add_parser`` makes one per subcommand, and argparse calls nothing on
-    it but ``parse_known_args`` (3.10 to 3.13), so a call builds the parser
-    of the subcommand it runs and no other."""
-
-    def __init__(self, command: _Command, **kwargs):
-        self.command = command
-        self.kwargs = kwargs  # prog and whatever else argparse passes a subparser
-
-    def parse_known_args(self, args=None, namespace=None):
-        command, p = self.command, _Parser(**self.kwargs)
-        for param in command.params:
-            kwargs = {"required": True} if param.default is _REQUIRED else {"default": param.default}
-            p.add_argument(param.flag, type=param.type, help=param.help, **kwargs)
-        if command.side_file is not None:
-            p.add_argument(command.side_file.flag, dest="csv", help=command.side_file.help)
-        p.add_argument("--out")
-        p.set_defaults(func=command.run or _run)
-        return p.parse_known_args(args, namespace)
+def _arguments(command: _Command):
+    """``(dest, param)`` for each argument of a subcommand's parser: its
+    parameters, its side file's flag (stored as ``csv``) and ``--out``."""
+    for param in command.params:
+        yield param.flag.lstrip("-").replace("-", "_"), param
+    if command.side_file is not None:
+        yield "csv", command.side_file
+    yield "out", _Param(None, "--out")
 
 
 def build_parser() -> _Parser:
@@ -544,16 +536,63 @@ def build_parser() -> _Parser:
     )
     parser.add_argument("--config", help="key=value config file")
     # prog is given so that argparse does not format the root usage to find it.
-    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog, parser_class=_Subparser)
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
     for name, command in _COMMANDS.items():
-        sub.add_parser(name, help=command.help, command=command)
+        p = sub.add_parser(name, help=command.help)
+        for dest, param in _arguments(command):
+            kwargs = {"required": True} if param.default is _REQUIRED else {"default": param.default}
+            if param.flag.startswith("-"):
+                kwargs["dest"] = dest
+            p.add_argument(param.flag, type=param.type, help=param.help, **kwargs)
+        p.set_defaults(func=command.run or _run)
     return parser
 
 
+def _parse_plain(argv: Sequence[str]) -> argparse.Namespace | None:
+    """What ``build_parser().parse_args(argv)`` returns, read straight from
+    ``_COMMANDS``, for the spelling the README uses: an optional leading
+    ``--config PATH``, a subcommand, then ``--flag value`` pairs of flags
+    it declares and replay's one positional, each at most once.  Any other
+    argv gives None and is left to argparse: help, ``--flag=value``,
+    abbreviations, ``--``, a value that starts with ``-``, an unknown,
+    missing or repeated flag, or an int flag's value that ``int()``
+    refuses."""
+    args = list(argv)
+    config = None
+    if len(args) > 1 and args[0] == "--config":
+        config, args = args[1], args[2:]
+    command = _COMMANDS.get(args[0]) if args else None
+    if command is None or (config or "").startswith("-"):
+        return None
+    declared = {param.flag: (dest, param) for dest, param in _arguments(command)}
+    values = {dest: param.default for dest, param in declared.values()}
+    values.update(config=config, command=args[0], func=command.run or _run)
+    tokens = iter(args[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            flag, value = token, next(tokens, None)
+        else:  # the positional, if it is still unset
+            flag, value = next((f for f in declared if not f.startswith("-")), None), token
+        if flag not in declared or value is None or value.startswith("-"):
+            return None
+        dest, param = declared.pop(flag)
+        if param.type is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        values[dest] = value
+    if any(param.default is _REQUIRED or not flag.startswith("-") for flag, (_, param) in declared.items()):
+        return None  # a required flag or the positional is missing
+    return argparse.Namespace(**values)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = _parse_plain(argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
         config = _read_config(args.config)
         return args.func(args, config)
     except UsageError as exc:

@@ -312,9 +312,14 @@ def _ndtr(z: np.ndarray) -> np.ndarray:
 
 
 def anderson_darling_statistic(values: np.ndarray) -> float:
-    """Size-adjusted normality statistic with estimated mean/variance."""
+    """Size-adjusted normality statistic with estimated mean/variance.
+    Fewer than 2 values, or values that are all equal, raise ValueError."""
     x = np.sort(np.asarray(values, dtype=float))
     count = x.size
+    if count < 2:
+        raise ValueError(f"values must hold at least 2 numbers, got {count}")
+    if x[0] == x[-1]:
+        raise ValueError(f"values have zero variance: all {count} are {x[0]}")
     z = (x - x.mean()) / x.std(ddof=1)
     cdf = np.clip(_ndtr(z), 1e-15, 1 - 1e-15)
     i = np.arange(1, count + 1)
@@ -426,9 +431,15 @@ def _chdtrc(df: int, x: float) -> float:
 
 
 def chi_square_uniformity(counts: Sequence[int]) -> tuple[float, float]:
-    """Chi-square statistic and p-value against the uniform law."""
+    """Chi-square statistic and p-value against the uniform law.  No bins,
+    or counts that add up to 0, raise ValueError."""
     c = np.asarray(counts, dtype=float)
-    expected = c.sum() / c.size
+    if c.size == 0:
+        raise ValueError("counts must hold at least one bin, got none")
+    total = c.sum()
+    if total == 0:
+        raise ValueError(f"counts must add up to more than 0, got {c.size} empty bins")
+    expected = total / c.size
     stat = float(((c - expected) ** 2 / expected).sum())
     return stat, _chdtrc(c.size - 1, stat)
 

@@ -393,6 +393,12 @@ def test_asymptotic_log_moment_simple_loop(loop1):
     assert log_factorial_moment_asymptotic(n, 0, loop1) == 0.0
 
 
+@pytest.mark.parametrize("n,r", [(0, 3), (0, 0), (-2, 1)])
+def test_asymptotic_log_moment_refuses_n_below_1(loop1, n, r):
+    with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+        log_factorial_moment_asymptotic(n, r, loop1)
+
+
 def test_asymptotic_close_to_exact_log(loop1):
     n, r = 10**6, 1000
     exact = factorial_moment_strong(n, r, loop1)

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import meandric
 from meandric import oracle, verify
@@ -21,11 +23,13 @@ from meandric.cli import (
     EXIT_USAGE,
     _COMMANDS,
     _exact_digits,
+    _parse_plain,
+    build_parser,
     main,
     payload_schema,
 )
 from meandric.meanders import simple_loop
-from meandric.verify import WEAK_L5
+from meandric.verify import STRONG_L6, WEAK_L5
 
 LOOP = "supp=1,2;up=1-2;lo=1-2"
 
@@ -850,8 +854,8 @@ def test_import_loads_no_process_pool_and_no_verify():
     assert out.stdout.strip() == "[]"
 
 
-# The exact text of each help page at 80 columns: the guard that building a
-# subcommand's parser only when it runs changes nothing a user reads.
+# The exact text of each help page at 80 columns: the guard that building
+# the parser from ``_COMMANDS`` changes nothing a user reads.
 HELP_TEXT = {
     "meandric": """\
 usage: meandric [-h] [--config CONFIG]
@@ -1025,20 +1029,92 @@ def _count_parsers(monkeypatch):
     return built
 
 
-def test_a_call_builds_the_root_and_its_own_parser(capsys, monkeypatch):
+# Each command line of the README's "Command line" section, then the
+# spellings of the benchmark's CLI requests (perfbench/workload.py).
+DOCUMENTED = [
+    ["shapes", "--half-length", "2"],
+    ["shapes", "--parse", LOOP],
+    ["constants", "--shape", LOOP],
+    ["moments", "--mode", "exact,formula", "--n", "5", "--r", "2", "--shape", LOOP,
+     "--distribution-csv", "dist.csv"],
+    ["sample", "--n", "2000", "--samples", "20000", "--shape", LOOP, "--seed", "20260810",
+     "--workers", "4", "--gate", "full", "--csv", "samples.csv"],
+    ["verify", "--suite", "small"],
+    ["verify", "--suite", "full", "--workers", "4"],
+    ["replay", "out.json"],
+    ["sample", "--n", "2000", "--samples", "2048", "--shape", LOOP, "--seed", "8237465501",
+     "--workers", "1", "--csv", ".bench_out/sample.csv", "--out", ".bench_out/sample.json"],
+    ["moments", "--mode", "exact,formula", "--n", "9", "--r", "3", "--shape", LOOP, "--size-cap", "9",
+     "--distribution-csv", ".bench_out/oracle.csv", "--out", ".bench_out/oracle.json"],
+    ["moments", "--mode", "formula,asymptotic", "--n", "100000", "--r", "50", "--shape", LOOP,
+     "--out", ".bench_out/formula0.json"],
+    ["moments", "--mode", "formula,asymptotic", "--n", "100000", "--r", "50", "--shape", STRONG_L6,
+     "--out", ".bench_out/formula1.json"],
+]
+
+
+def test_documented_spellings_build_no_parser(capsys, monkeypatch):
     built = _count_parsers(monkeypatch)
+    for argv in DOCUMENTED:
+        assert _parse_plain(argv) is not None, argv
     code, _ = run_json(capsys, "moments", "--mode", "formula", "--n", "9", "--r", "2", "--shape", LOOP)
     assert code == EXIT_OK
-    assert built == ["meandric", "meandric moments"]
+    assert built == []
+    for argv in DOCUMENTED:
+        assert vars(_parse_plain(argv)) == vars(build_parser().parse_args(argv)), argv
+
+
+_VALUES = ["3", "0", "-1", "x", "", " 7", "1_0", LOOP, "-x", "m.json"]
+_FLAGS = {
+    name: [param.flag for param in (*command.params, *filter(None, [command.side_file]))] + ["--out"]
+    for name, command in _COMMANDS.items()
+}
+_TOKENS = sorted(
+    {*_COMMANDS, *(flag for flags in _FLAGS.values() for flag in flags), "--config", "-h", "--help", "--",
+     "--sa", "--n=3", f"--shape={LOOP}", *_VALUES}
+)
+
+
+@st.composite
+def _spelled(draw):
+    """A subcommand and some of its arguments, each a flag and a value (or
+    replay's positional alone) in any order, perhaps with a ``--config``
+    in front and a stray token inserted."""
+    name = draw(st.sampled_from(sorted(_COMMANDS)))
+    flags = draw(st.permutations(_FLAGS[name]))
+    argv = [name]
+    for flag in flags[: draw(st.integers(0, len(flags)))]:
+        value = draw(st.sampled_from(_VALUES))
+        argv += [flag, value] if flag.startswith("-") else [value]
+    if draw(st.booleans()):
+        argv[:0] = ["--config", draw(st.sampled_from(_VALUES))]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(_TOKENS)))
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.sampled_from(_TOKENS), max_size=12),
+        st.sampled_from(DOCUMENTED).flatmap(st.permutations),
+        _spelled(),
+    )
+)
+def test_plain_parse_agrees_with_argparse(argv):
+    # Whatever the plain path accepts, argparse accepts with the same
+    # namespace: the subcommand, ``func``, ``config``, ``csv`` and
+    # ``workers`` where declared, each flag's value or default.
+    plain = _parse_plain(argv)
+    if plain is not None:
+        assert vars(plain) == vars(build_parser().parse_args(argv))
 
 
 @pytest.mark.parametrize("name", sorted(_COMMANDS))
 def test_help_names_every_declared_flag(capsys, monkeypatch, name):
     # Table-driven: each flag ``_COMMANDS`` declares, its side file's too,
-    # is on the subcommand's help page, and the page builds one subparser.
-    built = _count_parsers(monkeypatch)
+    # is on the subcommand's help page.
     page = _help_page(capsys, monkeypatch, name)
-    assert built == ["meandric", f"meandric {name}"]
     command = _COMMANDS[name]
     for param in (*command.params, *filter(None, [command.side_file])):
         assert re.search(rf"(^|\s){re.escape(param.flag)}(\s|$)", page), param.flag

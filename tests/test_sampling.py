@@ -1,6 +1,7 @@
 import concurrent.futures
 import itertools
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -100,6 +101,19 @@ def test_chi_square_uniformity_edge():
     assert stat == 0 and p == 1.0
 
 
+@pytest.mark.parametrize(
+    "counts,message",
+    [
+        ([], "counts must hold at least one bin, got none"),
+        ([0, 0, 0], "counts must add up to more than 0, got 3 empty bins"),
+    ],
+    ids=["no-bins", "zero-total"],
+)
+def test_chi_square_refuses_degenerate_counts(counts, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        chi_square_uniformity(counts)
+
+
 def test_chi_square_p_value_is_chi2_survival():
     # The p-value comes from finite sums, not from scipy, so it agrees with
     # ``chi2.sf`` to rounding rather than bit for bit.
@@ -140,6 +154,20 @@ def test_anderson_darling_matches_a_scipy_reference(monkeypatch):
     monkeypatch.setattr(sampling, "_ndtr", ndtr)
     for value, statistic in zip(samples, ours):
         assert statistic == pytest.approx(anderson_darling_statistic(value), rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "values,message",
+    [
+        ([], "values must hold at least 2 numbers, got 0"),
+        ([1.5], "values must hold at least 2 numbers, got 1"),
+        ([3, 3, 3], "values have zero variance: all 3 are 3.0"),
+    ],
+    ids=["empty", "one", "constant"],
+)
+def test_anderson_darling_refuses_degenerate_values(values, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        anderson_darling_statistic(values)
 
 
 def test_anderson_darling_discriminates():
