@@ -381,8 +381,9 @@ def _cmd_replay(args, config) -> int:
     command = _COMMANDS.get(sub) if isinstance(sub, str) else None
     if command is None or command.build is None:
         raise UsageError(f"cannot replay subcommand {sub!r}")
-    # Each parameter must have its flag's type; a side file's digest is compared.
-    types = {param.key: param.type for param in command.params}
+    # Each parameter, and a side file's digest, must have its flag's type;
+    # the digest is then compared.
+    types = {param.key: param.type for param in (*command.params, command.side_file) if param}
     for key, value in manifest["parameters"].items():
         kind = types.get(key)
         if kind is not None and type(value) is not kind:

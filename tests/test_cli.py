@@ -617,8 +617,21 @@ REPLAYED_MOMENTS = ["moments", "--n", "3", "--r", "1"]
             "bogus",
             "usage error: unknown gate 'bogus'; expected one of none, meanvar, full",
         ),
+        (
+            ["sample", "--n", "3", "--samples", "2", "--seed", "0"],
+            "csvSha256",
+            5,
+            "usage error: edited.json: sample parameter 'csvSha256' must be a string, got 5",
+        ),
+        (
+            REPLAYED_MOMENTS,
+            "distributionCsvSha256",
+            None,
+            "usage error: edited.json: moments parameter 'distributionCsvSha256' must be a string, got null",
+        ),
     ],
-    ids=["n-text", "n-bool", "shape-int", "mode-list", "size-cap-text", "n-above-cap", "gate-unknown"],
+    ids=["n-text", "n-bool", "shape-int", "mode-list", "size-cap-text", "n-above-cap", "gate-unknown",
+         "csv-digest-int", "csv-digest-null"],
 )
 def test_replay_of_a_bad_parameter_exits_4(capsys, tmp_path, monkeypatch, argv, key, value, message):
     monkeypatch.chdir(tmp_path)
@@ -842,16 +855,18 @@ def test_import_loads_no_scipy():
 
 
 def test_import_loads_no_process_pool_and_no_verify():
-    # Only ``--workers > 1`` starts a process pool and only ``verify`` runs
-    # the acceptance checks: ``concurrent.futures.process`` (multiprocessing,
-    # socket, subprocess, logging) and ``meandric.verify`` load where used.
+    # Only ``--workers > 1`` starts a process pool, only ``verify`` runs the
+    # acceptance checks and only a draw needs a generator:
+    # ``concurrent.futures.process`` (multiprocessing, socket, subprocess,
+    # logging), ``meandric.verify`` and ``numpy.random`` load where used.
     env = {**os.environ, "PYTHONPATH": str(Path(meandric.__file__).parents[1])}
-    code = (
-        "import sys, meandric.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in "
-        "('concurrent', 'multiprocessing') or m == 'meandric.verify'))"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    for module in ("meandric", "meandric.cli"):
+        code = (
+            f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('concurrent', 'multiprocessing') or m in ('meandric.verify', 'numpy.random')))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]", module
 
 
 # The exact text of each help page at 80 columns: the guard that building

@@ -1,12 +1,16 @@
 import concurrent.futures
 import itertools
+import json
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from hypothesis import strategies as st
 from scipy.special import chdtrc, ndtr
 from scipy.stats import chi2
 
+import meandric
 from meandric import sampling
 from meandric.combinatorics import (
     NonCrossingMatching,
@@ -529,7 +534,7 @@ def test_rekeying_forgets_the_previous_draw(previous_n, pending_half):
     # The previous draw leaves a part-used buffer behind, and at n = 1 also
     # the unused half of a 64-bit word.
     _height_rows(previous_n, 5, UPPER_STREAM, 3, 4)
-    state = sampling._PHILOX.bitgen.state
+    state = sampling._philox().bitgen.state
     assert state["buffer_pos"] < 4 and state["state"]["counter"][0] > 0
     assert state["has_uint32"] == pending_half
     for n, seed, position in [(5, 2**64 - 1, 123), (1, 0, 0), (40, 31, 2**60 - 4)]:
@@ -559,6 +564,33 @@ def test_threads_draw_what_one_thread_draws_in_turn():
         sys.setswitchinterval(interval)
     for rows, repeats in zip(in_turn, results):
         assert all(again == rows for again in repeats)
+
+
+FIRST_DRAWS = {
+    "sample_matching": "list(sample_matching(6, 17, 3).partner)",
+    "samples_array": "samples_array(ExperimentConfig(5, 40, simple_loop(), 9)).tolist()",
+}
+
+
+@pytest.mark.parametrize("first", list(FIRST_DRAWS))
+def test_a_fresh_process_builds_its_generator_at_the_first_draw(first):
+    # numpy.random loads at the first draw, not at import, and that draw and
+    # the next, which reuses the generator, are those of this process.
+    order = [first, *(name for name in FIRST_DRAWS if name != first)]
+    code = (
+        "import json, sys\n"
+        "from meandric import simple_loop\n"
+        "from meandric.sampling import ExperimentConfig, sample_matching, samples_array\n"
+        "loaded = ['numpy.random' in sys.modules]\n"
+        f"draws = [{', '.join(FIRST_DRAWS[name] for name in order)}]\n"
+        "loaded.append('numpy.random' in sys.modules)\n"
+        "print(json.dumps([loaded, draws]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(meandric.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded, draws = json.loads(out.stdout)
+    assert loaded == [False, True]
+    assert draws == [eval(FIRST_DRAWS[name]) for name in order]
 
 
 def test_fresh_state_is_a_new_generators_state_in_plain_ints():
