@@ -402,7 +402,7 @@ def log_factorial_moment_asymptotic(n: int, r: int, shape: Shape) -> float:
     and e the normalizer exponent; the exponential correction combines
     the placement-exclusion term with the overlap corrections.  For a
     strong shape the correction sum is empty.  n below 1 or r below 0
-    raises ValueError.
+    raises ValueError, and so does a value beyond the float range.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -413,7 +413,13 @@ def log_factorial_moment_asymptotic(n: int, r: int, shape: Shape) -> float:
     c = shape_constants(shape)
     lead = math.log(2 * n * c.face_weight) - c.denominator_power * math.log(4)
     corr = c.correction_sum
-    return r * lead - (r * r / (4 * n)) * (4 * c.half_length - 1) + (r * r / (2 * n)) * float(corr)
+    try:
+        value = r * lead - (r * r / (4 * n)) * (4 * c.half_length - 1) + (r * r / (2 * n)) * float(corr)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"the asymptotic log moment at n={n}, r={r} is beyond the float range")
+    return value
 
 
 # ---------------------------------------------------------------------------

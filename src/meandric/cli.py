@@ -23,8 +23,9 @@ to reproduce the payload byte for byte.
 
 Exit codes: 0 success, 2 statistical gate failure, 3 invariant violation,
 4 usage error or refused input (shape text that is not a valid shape, a
-shape too large for the size, a weak shape's closed form at r >= 2, a
-size above a cap, an array too large for memory).
+shape too large for the size, a weak shape's closed form at r >= 2, an
+asymptotic log moment beyond the float range, a size above a cap, an
+array too large for memory).
 
 Moments are exact rationals, written in full; their log deltas are taken
 from numerator and denominator, so they stay finite beyond the float range.
@@ -38,6 +39,7 @@ import datetime
 import hashlib
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
@@ -255,7 +257,10 @@ def _moments_output(params: dict, workers: int, csv: bool) -> tuple[dict, str | 
         payload["formulaMoment"] = fraction_json(formula)
         values["formula"] = formula
     if "asymptotic" in modes:
-        payload["asymptoticLogMoment"] = log_factorial_moment_asymptotic(n, r, shape)
+        try:
+            payload["asymptoticLogMoment"] = log_factorial_moment_asymptotic(n, r, shape)
+        except ValueError as exc:  # beyond the float range
+            raise UsageError(str(exc)) from None
     if len(values) == 2:
         payload["deltas"] = {"exactMinusFormula": float(values["exact"] - values["formula"])}
     if "asymptotic" in modes:
@@ -377,6 +382,11 @@ def _cmd_replay(args, config) -> int:
     for key in ("subcommand", "payloadSha256"):
         if key not in manifest:
             raise UsageError(f"{args.manifest}: manifest has no {key!r}")
+    expected = manifest["payloadSha256"]
+    if not (isinstance(expected, str) and re.fullmatch("[0-9a-f]{64}", expected)):
+        raise UsageError(
+            f"{args.manifest}: payloadSha256 must be 64 lowercase hex digits, got {json.dumps(expected)}"
+        )
     sub = manifest["subcommand"]
     command = _COMMANDS.get(sub) if isinstance(sub, str) else None
     if command is None or command.build is None:
@@ -399,12 +409,12 @@ def _cmd_replay(args, config) -> int:
     except KeyError as exc:
         raise UsageError(f"{args.manifest}: {sub} parameters have no {exc}") from None
     digest = hashlib.sha256(_canonical(rebuilt)).hexdigest()
-    ok = digest == manifest["payloadSha256"]
+    ok = digest == expected
     if text is not None:
         ok = ok and hashlib.sha256(text.encode()).hexdigest() == params[side.key]
     payload = {
         "subcommand": sub,
-        "expectedSha256": manifest["payloadSha256"],
+        "expectedSha256": expected,
         "recomputedSha256": digest,
         "match": ok,
     }

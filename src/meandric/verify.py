@@ -3,10 +3,12 @@ pytest acceptance suite.
 
 Each check returns ``(ok, detail)``.  The ``small`` suite covers the
 exact identities at half-length <= 2 up to n=7 and the fast numeric
-consistency checks; ``full`` takes the exact identities to n=10 and adds
-the size-10 weak-shape checks, the half-length-3 scan, the sampler
-gates, and the tightness profile.  The growth-inequality scan is also
-the check of the CLT hypothesis: it builds every shape's CLT parameters,
+consistency checks; ``full`` takes the exact identities to n=10 (and to
+n=12 at half-length <= 3) and adds the size-10 weak-shape checks, the
+half-length-3 scan, the sampler gates, and the tightness profile.  Every
+exact identity goes through one sweep, which enumerates each (n, shape)
+law once for all its orders.  The growth-inequality scan is also the
+check of the CLT hypothesis: it builds every shape's CLT parameters,
 which refuse a variance coefficient that is not positive.
 
 The tightness check evaluates each shape at the size where
@@ -28,14 +30,19 @@ from .analysis import (
     _disjoint_factorial_moment,
     _log_fraction,
     clt_parameters,
-    disjoint_moment_term,
     factorial_moment_strong,
     log_factorial_moment_asymptotic,
     shape_constants,
     tightness_profile,
 )
 from .meanders import Shape, enumerate_shapes, parse_shape, simple_loop
-from .oracle import block_spectrum, exact_factorial_moment, exact_pair_probability
+from .oracle import (
+    _factorial_moment,
+    block_spectrum,
+    exact_distribution,
+    exact_factorial_moment,
+    exact_pair_probability,
+)
 from .sampling import (
     ExperimentConfig,
     evaluate_gates,
@@ -51,10 +58,13 @@ __all__ = [
     "run_suite",
 ]
 
-# A strong shape of half-length 6 with nontrivial bounded faces, and the
-# weak shape of half-length 5 whose copies can overlap at offset 7.
+# A strong shape of half-length 6 with nontrivial bounded faces, the weak
+# shape of half-length 5 whose copies can overlap at offset 7, and its mirror
+# image, the only other weak shape up to half-length 5 (pinned, since
+# enumerating half-length 5 at import would cost every process 0.09 s).
 STRONG_L6 = "supp=1,4,7,12;up=1-4,7-12;lo=1-12,4-7"
 WEAK_L5 = "supp=1,2,5,6,9,10;up=1-6,2-5,9-10;lo=1-2,5-10,6-9"
+_WEAK_L5_MIRROR = "supp=1,2,5,6,9,10;up=1-2,5-10,6-9;lo=1-6,2-5,9-10"
 
 DEFAULT_SEED = 20260810
 SUITES = ("small", "full")
@@ -70,25 +80,31 @@ def _shapes_up_to(ell_max: int) -> list[Shape]:
     return [shape for ell in range(1, ell_max + 1) for shape in enumerate_shapes(ell)]
 
 
-def check_strong_moment_identity(n_max: int = 7) -> tuple[bool, str]:
-    """Enumerated factorial moments equal the strong-shape closed form,
-    as exact rationals, for r in 1..3 and all n up to ``n_max``, over the
-    strong shapes of half-length <= 2 and ``STRONG_L6``."""
-    shapes = [s for s in _shapes_up_to(2) if shape_constants(s).is_strong]
-    shapes.append(parse_shape(STRONG_L6))
-    cases = 0
-    for n in range(1, n_max + 1):  # n outermost: each size is enumerated once
+def _closed_form_mismatch(shapes: list[Shape], orders: tuple[int, ...], n_max: int) -> str | None:
+    """Where an enumerated factorial moment first differs from
+    :func:`factorial_moment_strong` for n up to ``n_max``, or None.  n runs
+    outermost, and each (n, shape) law is enumerated once for all ``orders``."""
+    for n in range(1, n_max + 1):
         for shape in shapes:
-            for r in (1, 2, 3):
-                exact = exact_factorial_moment(n, r, shape, size_cap=n_max)
+            law = exact_distribution(n, shape, size_cap=n_max)
+            for r in orders:
+                exact = _factorial_moment(law, n, r)
                 formula = factorial_moment_strong(n, r, shape)
                 if exact != formula:
-                    return False, (
-                        f"mismatch at n={n} r={r} ell={shape.half_length}: "
-                        f"{exact} != {formula}"
-                    )
-                cases += 1
-    return True, f"{cases} exact identities over {len(shapes)} strong shapes"
+                    return f"mismatch at n={n} r={r} ell={shape.half_length}: {exact} != {formula}"
+    return None
+
+
+def check_strong_moment_identity(n_max: int = 7, ell_max: int = 2) -> tuple[bool, str]:
+    """Enumerated factorial moments equal the strong-shape closed form,
+    as exact rationals, for r in 1..3 and all n up to ``n_max``, over the
+    strong shapes of half-length <= ``ell_max`` and ``STRONG_L6``."""
+    shapes = [s for s in _shapes_up_to(ell_max) if shape_constants(s).is_strong]
+    shapes.append(parse_shape(STRONG_L6))
+    mismatch = _closed_form_mismatch(shapes, (1, 2, 3), n_max)
+    return mismatch is None, mismatch or (
+        f"{3 * n_max * len(shapes)} exact identities over {len(shapes)} strong shapes"
+    )
 
 
 def check_strong_l6_constants() -> tuple[bool, str]:
@@ -110,17 +126,12 @@ def check_simple_loop_parameters() -> tuple[bool, str]:
 
 
 def check_first_moment_all_shapes(n_max: int = 7) -> tuple[bool, str]:
-    """For every shape of half-length <= 2, weak or strong, the enumerated
-    first moment equals the disjoint-copy count term exactly."""
-    cases = 0
-    for n in range(1, n_max + 1):
-        for shape in _shapes_up_to(2):
-            exact = exact_factorial_moment(n, 1, shape, size_cap=n_max)
-            term = disjoint_moment_term(n, 1, shape)
-            if exact != term:
-                return False, f"mismatch at n={n} ell={shape.half_length}: {exact} != {term}"
-            cases += 1
-    return True, f"{cases} first-moment identities"
+    """The enumerated first moment equals the closed form exactly, for n
+    up to ``n_max``, over every shape of half-length <= 2 (all strong) and
+    the two weak shapes of half-length 5, whose single copies never overlap."""
+    shapes = [*_shapes_up_to(2), parse_shape(WEAK_L5), parse_shape(_WEAK_L5_MIRROR)]
+    mismatch = _closed_form_mismatch(shapes, (1,), n_max)
+    return mismatch is None, mismatch or f"{n_max * len(shapes)} first-moment identities"
 
 
 def check_weak_shape_structure() -> tuple[bool, str]:
@@ -273,9 +284,10 @@ def check_tightness(shape_text: str | None = None) -> tuple[bool, str]:
 def run_suite(suite: str, worker_count: int = 1) -> list[tuple[str, bool, str]]:
     """Run the named suite; returns (check, ok, detail) triples.  The
     exact identities run to n=7 in the small suite and to n=10 in the
-    full one.  Each check also prints one line with its wall seconds,
-    which stay out of the results.  An unknown suite raises ValueError
-    before any check runs."""
+    full one, which also takes them to n=12 over every strong shape of
+    half-length <= 3.  Each check also prints one line with its wall
+    seconds, which stay out of the results.  An unknown suite raises
+    ValueError before any check runs."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected {' or '.join(SUITES)}")
     n_max = 7 if suite == "small" else 10
@@ -288,6 +300,7 @@ def run_suite(suite: str, worker_count: int = 1) -> list[tuple[str, bool, str]]:
         ("asymptotic-consistency", check_asymptotic_consistency),
     ]
     full_extra = [
+        ("closed-form-identity-n12", lambda: check_strong_moment_identity(n_max=12, ell_max=3)),
         ("weak-shape-structure", check_weak_shape_structure),
         ("growth-inequality-l3", lambda: check_growth_inequality(ell_max=3)),
         (

@@ -399,6 +399,13 @@ def test_asymptotic_log_moment_refuses_n_below_1(loop1, n, r):
         log_factorial_moment_asymptotic(n, r, loop1)
 
 
+@pytest.mark.parametrize("n,r", [(5, 10**200), (10**600, 10**308)], ids=["r-squared-overflows", "infinite"])
+def test_asymptotic_log_moment_beyond_the_float_range_is_refused(loop1, n, r):
+    # r * r / (4 n) overflows float division; r * lead rounds to infinity.
+    with pytest.raises(ValueError, match=f"^the asymptotic log moment at n={n}, r={r} is beyond the float range$"):
+        log_factorial_moment_asymptotic(n, r, loop1)
+
+
 def test_asymptotic_close_to_exact_log(loop1):
     n, r = 10**6, 1000
     exact = factorial_moment_strong(n, r, loop1)

@@ -529,6 +529,14 @@ def test_cap_exceeded_is_refused(capsys, tmp_path, monkeypatch, argv, message):
             ["sample", "--n", "5", "--samples", "3", "--shape", LOOP, "--gate", "bogus"],
             "unknown gate 'bogus'; expected one of none, meanvar, full",
         ),
+        (
+            ["moments", "--mode", "asymptotic", "--n", "5", "--r", str(10**200), "--shape", LOOP],
+            f"the asymptotic log moment at n=5, r={10**200} is beyond the float range",
+        ),
+        (
+            ["moments", "--mode", "asymptotic", "--n", str(10**600), "--r", str(10**308), "--shape", LOOP],
+            f"the asymptotic log moment at n={10**600}, r={10**308} is beyond the float range",
+        ),
     ],
     ids=[
         "out-dir",
@@ -558,6 +566,8 @@ def test_cap_exceeded_is_refused(capsys, tmp_path, monkeypatch, argv, message):
         "verify-workers-not-int",
         "sample-shape-beyond-n",
         "sample-gate-unknown",
+        "asymptotic-r-squared-overflows",
+        "asymptotic-infinite",
     ],
 )
 def test_bad_path_or_input_is_usage_error(capsys, tmp_path, monkeypatch, argv, message):
@@ -569,10 +579,10 @@ def test_bad_path_or_input_is_usage_error(capsys, tmp_path, monkeypatch, argv, m
         json.dumps({"manifest": {"subcommand": "shapes", "parameters": {}}})
     )
     (tmp_path / "no-shape.json").write_text(
-        json.dumps({"subcommand": "moments", "parameters": {"n": 3}, "payloadSha256": "0"})
+        json.dumps({"subcommand": "moments", "parameters": {"n": 3}, "payloadSha256": "0" * 64})
     )
     (tmp_path / "list-command.json").write_text(
-        json.dumps({"subcommand": ["sample"], "parameters": {}, "payloadSha256": "0"})
+        json.dumps({"subcommand": ["sample"], "parameters": {}, "payloadSha256": "0" * 64})
     )
     (tmp_path / "folder").mkdir()
     (tmp_path / "latin1.cfg").write_bytes(b"seed = 1 \xe9\n")
@@ -629,9 +639,15 @@ REPLAYED_MOMENTS = ["moments", "--n", "3", "--r", "1"]
             None,
             "usage error: edited.json: moments parameter 'distributionCsvSha256' must be a string, got null",
         ),
+        (
+            ["moments", "--mode", "asymptotic", "--n", "5", "--r", "2"],
+            "r",
+            10**200,
+            f"usage error: the asymptotic log moment at n=5, r={10**200} is beyond the float range",
+        ),
     ],
     ids=["n-text", "n-bool", "shape-int", "mode-list", "size-cap-text", "n-above-cap", "gate-unknown",
-         "csv-digest-int", "csv-digest-null"],
+         "csv-digest-int", "csv-digest-null", "asymptotic-beyond-floats"],
 )
 def test_replay_of_a_bad_parameter_exits_4(capsys, tmp_path, monkeypatch, argv, key, value, message):
     monkeypatch.chdir(tmp_path)
@@ -643,6 +659,23 @@ def test_replay_of_a_bad_parameter_exits_4(capsys, tmp_path, monkeypatch, argv, 
     assert code == EXIT_USAGE
     assert out == ""
     assert err == f"{message}\n"
+
+
+@pytest.mark.parametrize("value", [5, None, ["x"], "abc"], ids=["int", "null", "list", "short"])
+def test_replay_of_a_bad_payload_digest_exits_4(capsys, tmp_path, monkeypatch, value):
+    # The replay schema's expectedSha256 is 64 lowercase hex digits; a
+    # manifest whose payloadSha256 is anything else is refused before the
+    # payload is rebuilt.
+    monkeypatch.chdir(tmp_path)
+    assert main([*REPLAYED_MOMENTS, "--shape", LOOP, "--out", "run.json"]) == EXIT_OK
+    doc = json.loads((tmp_path / "run.json").read_text())
+    doc["manifest"]["payloadSha256"] = value
+    (tmp_path / "edited.json").write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "replay", "edited.json")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == (
+        f"usage error: edited.json: payloadSha256 must be 64 lowercase hex digits, got {json.dumps(value)}\n"
+    )
 
 
 @pytest.mark.parametrize(

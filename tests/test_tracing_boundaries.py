@@ -3,6 +3,7 @@
 longer imported would make every traced run fail, so each one must
 resolve to a callable."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -50,3 +51,34 @@ def test_pins_name_boundaries():
     assert pins
     boundaries = {(module_name, attr) for module_name, attr, _ in BOUNDARIES}
     assert pins <= boundaries, sorted(pins - boundaries)
+
+
+def _unused_imports(path):
+    # Names a module imports but never reads, leaves off its ``__all__``
+    # and does not pin for the tracer; star imports and ``__future__`` are
+    # exempt.
+    tree = ast.parse(path.read_text())
+    lines = path.read_text().splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
+    return sorted(
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        if alias.name != "*"
+        and (alias.asname or alias.name).split(".")[0] not in read | exported
+        and PIN not in lines[alias.lineno - 1]
+    )
+
+
+@pytest.mark.parametrize("path", sorted(SOURCES.glob("*.py")), ids=lambda path: path.name)
+def test_every_import_is_used_exported_or_pinned(path):
+    # No linter runs on the package, so this is the guard against an import
+    # left behind when its last use goes.
+    assert _unused_imports(path) == []
