@@ -25,7 +25,9 @@ Exit codes: 0 success, 2 statistical gate failure, 3 invariant violation,
 4 usage error or refused input (shape text that is not a valid shape, a
 shape too large for the size, a weak shape's closed form at r >= 2, an
 asymptotic log moment beyond the float range, a size above a cap, an
-array too large for memory).
+array too large for memory).  Output paths (``--out`` and a side file)
+are checked before any work, so a refused command writes no file, and a
+standard output closed early ends the command quietly with its own code.
 
 Moments are exact rationals, written in full; their log deltas are taken
 from numerator and denominator, so they stay finite beyond the float range.
@@ -36,6 +38,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
+import errno
 import hashlib
 import json
 import os
@@ -118,8 +121,14 @@ def _emit(subcommand: str, parameters: dict, payload, out_path: str | None) -> N
     text = json.dumps({"manifest": manifest, "payload": payload}, indent=2, sort_keys=True)
     if out_path:
         _write_output(out_path, text + "\n")
-    else:
+        return
+    try:
         print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head -1``): point fd 1 at devnull,
+        # so that the interpreter's final flush of stdout stays quiet too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _write_output(path: str, text: str) -> None:
@@ -130,6 +139,23 @@ def _write_output(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _check_writable(path: str) -> None:
+    """Refuse, before any work, a path that :func:`_write_output` could not
+    write: a directory, a missing folder, no permission.  It opens
+    nothing, so a file already there is left as it is."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif os.path.exists(path):
+        code = 0 if os.access(path, os.W_OK) else errno.EACCES
+    elif not os.path.isdir(folder):
+        code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+    else:
+        code = 0 if os.access(folder, os.W_OK | os.X_OK) else errno.EACCES
+    if code:
+        raise UsageError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def _read_input(path: str) -> str:
@@ -358,9 +384,6 @@ def _cmd_verify(args, config) -> int:
     if args.suite not in verify_mod.SUITES:
         raise UsageError(f"unknown suite {args.suite!r}; expected {' or '.join(verify_mod.SUITES)}")
     workers = _resolve_workers(args.workers, config)
-    if args.out:
-        # Refuse an unwritable path before the checks run and echo.
-        _write_output(args.out, "")
     results = verify_mod.run_suite(args.suite, worker_count=workers)
     payload = {
         "suite": args.suite,
@@ -605,6 +628,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args is None:
             args = build_parser().parse_args(argv)
         config = _read_config(args.config)
+        for path in (getattr(args, "csv", None), args.out):
+            if path:
+                _check_writable(path)
         return args.func(args, config)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

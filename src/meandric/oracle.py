@@ -16,24 +16,29 @@ pairing of steps; :func:`meandric.meanders.arcs_at` tests each half of the
 shape at every position of every matching in one vectorized pass, and
 each matching's row of hits is packed into one integer bitmask over the
 ``width = 2n - 2 * half_length + 1`` positions.  The masks are cached per
-half, so shapes that share a half share its masks.  Binned into counts per
-mask and summed over supersets (``width`` in-place numpy butterflies over
-``2**width`` entries, once per distinct half), the two halves give
-``U[S] * L[S]``, the number of systems with copies at every position of
-the set S.  Pair probabilities and block spectra read that product
-directly; one superset Moebius inversion turns it into the number of
-systems whose copies sit exactly at T, whose histogram by ``|T|``
-(``np.bitwise_count``, summed in int64) is the distribution.  A factorial
-moment weights each count x by ``math.perm(x, r)``, 0 at once when r
-exceeds x.  No step loops over masks in Python.  ``U`` and ``L`` count
-matchings, so they are int32 below the guard ``catalan(n) < 2**31``.
-Every value after them counts systems, at most ``catalan(n)**2``, so
-while that is below ``2**31`` (n <= 10) the product and the inversion
-are int32, in U's own array; from n = 11 they are int64.  For the simple
-loop, whose two halves are equal, in a fresh process (2 cores, Python
-3.11.7, numpy 2.4.6), a distribution takes about 0.005 s at n=9 (2**17
-sets), 0.020 s at n=10, 0.098 s at n=11 and 0.41 s at n=12, enumeration
-included.  Sets of over ``MAX_MASK_WIDTH`` positions are refused.
+half, so shapes that share a half share its masks.  Each half clashes
+with its own translate at every offset up to its longest arc, so copies
+start at least ``k = 1 + min(longest upper arc, longest lower arc)``
+positions apart and a block of k consecutive positions holds at most
+one.  A position set is indexed by one digit per block (0 for no copy, j
+for the block's j-th position), over ``prod(block length + 1)`` entries:
+for the simple loop 3**8 * 2 = 13,122 at n = 9, where the bitmask index
+had 2**17, and 354,294 at n = 12 against 2**23.  The masks are counted
+by distinct value into that star index, and each half is summed over
+supersets with one strided ``np.add`` per block position (once per
+distinct half), which gives ``U[S] * L[S]``, the number of systems with
+copies at every position of the set S.  Pair probabilities and block
+spectra read that product directly; one superset Moebius inversion, the
+same loop with ``np.subtract``, turns it into the number of systems
+whose copies sit exactly at T, whose histogram by ``|T|`` is the
+distribution.  A factorial moment weights each count x by
+``math.perm(x, r)``, 0 at once when r exceeds x.  No step loops over
+masks in Python.  All arrays are int64: every value counts systems, at
+most ``catalan(n)**2``, and the guard ``catalan(n) < 2**31`` keeps that
+within range.  For the simple loop in a fresh process (2 cores, Python
+3.11.7, numpy 2.4.6), a distribution takes about 0.002 s at n=9, 0.008 s
+at n=10, 0.026 s at n=11 and 0.08 s at n=12, enumeration included.  Sets
+of over ``MAX_MASK_WIDTH`` positions are refused.
 """
 
 from __future__ import annotations
@@ -73,8 +78,9 @@ __all__ = [
 
 DEFAULT_SIZE_CAP = 8
 
-# Most copy positions the oracle handles, the simple loop at n=12: 2**23
-# int32 counts (32 MiB) per half and 2**23 int64 (64 MiB) for their product.
+# Most copy positions the oracle handles, the simple loop at n=12.  Its star
+# arrays hold 3**11 * 2 int64 entries (2.7 MiB) each; the enumeration, not
+# the fold, bounds the sizes beyond it (the walks of n = 14 take 155 MB).
 MAX_MASK_WIDTH = 23
 
 
@@ -131,64 +137,124 @@ def _occurrence_masks(n: int, shape: Shape) -> tuple[np.ndarray, np.ndarray]:
     return _half_masks(n, shape.upper, width), _half_masks(n, shape.lower, width)
 
 
+def _block_size(shape: Shape) -> int:
+    """Positions per star block: one more than the shorter of the two
+    halves' longest arcs.  Each half clashes with its own translate at
+    every offset up to its longest arc (the two copies cross, or share
+    that arc's right end), so copies of the shape start at least this
+    far apart, and a block of this many consecutive positions holds at
+    most one."""
+    return 1 + min(max(b - a for a, b in half) for half in (shape.upper, shape.lower))
+
+
+def _star_dims(k: int, width: int) -> tuple[int, ...]:
+    """Axis lengths of the star array over ``width`` positions in blocks
+    of k, most significant first: the short last block, if any, then one
+    axis of ``k + 1`` digits per full block.
+
+    A position set with at most one position per block has the star
+    index ``sum(digit_b * (k + 1)**b)``, where block b holds positions
+    ``b*k + 1 .. b*k + k`` and its digit is 0 for none of them or j for
+    the j-th."""
+    full, last = divmod(width, k)
+    return ((last + 1,) if last else ()) + (k + 1,) * full
+
+
+def _star_index(masks: np.ndarray, k: int, width: int) -> np.ndarray:
+    """Star index of each bitmask (bit ``i-1`` for position i).  A mask
+    with two positions in one block, or a position beyond ``width``, is
+    not a set of copies and raises :class:`OracleInvariantError`."""
+    digit = np.full(1 << k, -1, dtype=np.int64)
+    digit[0] = 0
+    digit[1 << np.arange(k)] = np.arange(1, k + 1)
+    index = np.zeros(masks.shape, dtype=np.int64)
+    bad = masks >> width != 0
+    for b, start in enumerate(range(0, width, k)):
+        digits = digit[masks >> start & (1 << k) - 1]
+        bad |= digits < 0
+        index += digits * (k + 1) ** b
+    if bad.any():
+        raise OracleInvariantError(
+            f"occurrence mask {int(masks[bad][0]):#b} does not hold at most one copy "
+            f"in each block of {k} of its {width} positions"
+        )
+    return index
+
+
+def _star_masks(index: np.ndarray, k: int, width: int) -> np.ndarray:
+    """The bitmask of each star index: the inverse of :func:`_star_index`."""
+    bit = np.concatenate(([0], 1 << np.arange(k)))
+    masks = np.zeros_like(index)
+    for start in range(0, width, k):
+        index, digits = np.divmod(index, k + 1)
+        masks |= bit[digits] << start
+    return masks
+
+
+def _star_sizes(k: int, width: int) -> np.ndarray:
+    """Number of positions of every star index: its nonzero digits.  Built
+    from the least significant block up, each block's digit 0 keeping the
+    sizes so far and each other digit adding one."""
+    sizes = np.zeros(1, dtype=np.int8)
+    for d in reversed(_star_dims(k, width)):
+        sizes = np.concatenate([sizes] + [sizes + 1] * (d - 1))
+    return sizes
+
+
 def _superset_sums(n: int, shape: Shape) -> tuple[np.ndarray, np.ndarray]:
-    """``(U, L)`` over all 2**width position sets S: ``U[S]`` counts the
-    upper matchings that hold the shape's upper arcs at every position of
-    S (bit ``i-1`` for position i), and ``L[S]`` the same for the lower.
-    So ``U[S] * L[S]`` counts the systems with copies at every position
-    of S.  Both count matchings, so they are int32 below the guard's
-    ``catalan(n) < 2**31``, counted by distinct mask with no int64 bin
-    array.  Equal masks are folded once and the one array is returned
-    twice, so both are read-only.  They are built afresh on every call,
-    so a caller done with them may take them over, as
-    :func:`_exact_counts` does."""
+    """``(U, L)`` over the star index of position sets S (see
+    :func:`_star_dims`): ``U[S]`` counts the upper matchings that hold the
+    shape's upper arcs at every position of S, and ``L[S]`` the same for
+    the lower.  So ``U[S] * L[S]`` counts the systems with copies at every
+    position of S; a set with two positions in one block has none, and no
+    index.  Both are int64, counted by distinct mask.  Equal masks are
+    folded once and the one array is returned twice, so both are
+    read-only."""
     width = _width(n, shape)
     if width > MAX_MASK_WIDTH or catalan(n) >= 2**31:
         raise CapExceededError(
             f"size {n} needs 2**{width} position sets for a half-length-"
             f"{shape.half_length} shape; the oracle stops at 2**{MAX_MASK_WIDTH}"
         )
+    k = _block_size(shape)
+    size = math.prod(_star_dims(k, width))
     up, lo = _occurrence_masks(n, shape)
     sums = []
     for mask in (up,) if up is lo else (up, lo):
-        counts = np.zeros(1 << width, dtype=np.int32)
         sets, matchings = np.unique(mask, return_counts=True)
-        counts[sets] = matchings
-        _fold_supersets(counts, np.add)
+        counts = np.zeros(size, dtype=np.int64)
+        counts[_star_index(sets, k, width)] = matchings
+        _fold_supersets(counts, k, width, np.add)
         counts.flags.writeable = False
         sums.append(counts)
     return sums[0], sums[-1]
 
 
-def _fold_supersets(counts: np.ndarray, op: np.ufunc) -> np.ndarray:
-    """``counts[S] = op(counts[S], counts[S | 2**k])`` for every bit k in
-    turn, in place: ``np.add`` sums each entry over its supersets and
-    ``np.subtract`` undoes that (superset Moebius inversion).  Rows of
-    fewer than 16 entries are swept down the columns, in one long strided
-    loop, where numpy's memory order would start one short loop per row."""
-    for k in range(counts.size.bit_length() - 1):
-        pairs = counts.reshape(-1, 2, 1 << k)
-        op(pairs[:, 0], pairs[:, 1], out=pairs[:, 0], order="F" if k < 4 else "K")
+def _fold_supersets(counts: np.ndarray, k: int, width: int, op: np.ufunc) -> np.ndarray:
+    """For each block in turn, ``counts[S] = op(counts[S], counts[S + j])``
+    for every S whose digit there is 0 and each of the block's digits j
+    (``S + j`` has digit j there), in place: ``np.add`` sums each entry
+    over its supersets and ``np.subtract`` undoes that (superset Moebius
+    inversion), since an entry with a nonzero digit has no superset
+    differing in that block."""
+    dims = _star_dims(k, width)
+    for axis, d in enumerate(dims):
+        digits = counts.reshape(math.prod(dims[:axis]), d, -1)
+        for j in range(1, d):
+            op(digits[:, 0], digits[:, j], out=digits[:, 0])
     return counts
 
 
 def _exact_counts(n: int, shape: Shape) -> np.ndarray:
     """Number of systems whose set of copy positions is exactly T, for
-    every T: the superset Moebius inversion of ``U * L``.
+    every star index T: the superset Moebius inversion of ``U * L``.
 
     Each partial inversion step still counts systems, so every entry
-    stays in ``[0, catalan(n)**2]``.  While ``catalan(n)**2 < 2**31``
-    (n <= 10) the product and the inversion are int32 and run in U's own
-    array, which this call takes over from :func:`_superset_sums` (for
-    equal halves U is L, and U * U squares in place).  From n = 11 the
-    product is a new int64 array."""
+    stays in ``[0, catalan(n)**2]``, within int64 under the guard's
+    ``catalan(n) < 2**31``."""
     up, lo = _superset_sums(n, shape)
-    if catalan(n) ** 2 < 2**31:
-        up.flags.writeable = True
-        counts = np.multiply(up, lo, out=up)
-    else:
-        counts = np.multiply(up, lo, dtype=np.int64)
-    _fold_supersets(counts, np.subtract)
+    counts = np.multiply(up, lo)
+    _fold_supersets(counts, _block_size(shape), _width(n, shape), np.subtract)
     if counts.min() < 0 or int(counts.sum()) != catalan(n) ** 2:
         raise OracleInvariantError(
             f"exact occurrence counts at n={n} shape={format_shape(shape)} are not a "
@@ -204,7 +270,7 @@ def exact_distribution(n: int, shape: Shape, size_cap: int = DEFAULT_SIZE_CAP) -
     sets = np.flatnonzero(counts)
     width = _width(n, shape)
     histogram = np.zeros(width + 1, dtype=np.int64)
-    np.add.at(histogram, np.bitwise_count(sets), counts[sets].astype(np.int64, copy=False))
+    np.add.at(histogram, _star_sizes(_block_size(shape), width)[sets], counts[sets])
     return {x: int(c) for x, c in enumerate(histogram) if c}
 
 
@@ -251,8 +317,12 @@ def exact_pair_probability(
     if 2 * ell + offset - 1 > 2 * n:
         raise ValueError(f"combined base {2 * ell + offset - 1} does not fit in [{2 * n}]")
     up, lo = _superset_sums(n, shape)
-    need = 1 | (1 << (offset - 1))
-    enumerated = Fraction(int(up[need]) * int(lo[need]), catalan(n) ** 2)
+    k = _block_size(shape)
+    block, slot = divmod(offset - 1, k)
+    # Position 1 is digit 1 of block 0; a second position there has no copy.
+    need = 1 + (slot + 1) * (k + 1) ** block
+    systems = int(up[need]) * int(lo[need]) if block else 0
+    enumerated = Fraction(systems, catalan(n) ** 2)
     formula = closed_form_pair_probability(n, offset, shape)
     if formula != enumerated:
         raise FormulaMismatchError(
@@ -279,13 +349,14 @@ def block_spectrum(
         raise ValueError(f"r must be >= 1, got {r}")
     span = 2 * shape.half_length
     up, lo = _superset_sums(n, shape)
-    popcounts = np.bitwise_count(np.arange(1 << _width(n, shape), dtype=np.int32))
-    sets = np.flatnonzero(popcounts == r)
-    near = np.zeros_like(sets)
-    for k in range(1, span):
-        near |= sets << k
-    blocks = popcounts[sets & ~near]  # positions with no other within span before them
-    mass = np.multiply(up[sets], lo[sets], dtype=np.int64)
+    k, width = _block_size(shape), _width(n, shape)
+    sets = np.flatnonzero(_star_sizes(k, width) == r)
+    masks = _star_masks(sets, k, width)
+    near = np.zeros_like(masks)
+    for shift in range(1, span):
+        near |= masks << shift
+    blocks = np.bitwise_count(masks & ~near)  # positions with no other within span before them
+    mass = up[sets] * lo[sets]
     denom = catalan(n) ** 2
     totals = {u: int(mass[blocks == u].sum()) for u in range(1, r + 1)}
     return {u: Fraction(w, denom) for u, w in totals.items() if w}

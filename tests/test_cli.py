@@ -594,6 +594,80 @@ def test_bad_path_or_input_is_usage_error(capsys, tmp_path, monkeypatch, argv, m
     assert err == f"usage error: {message}\n"
 
 
+def _refuse_to_work(*args, **kwargs):
+    raise AssertionError("work began before the output paths were checked")
+
+
+@pytest.mark.parametrize(
+    "paths,message",
+    [
+        (
+            ["--csv", "s.csv", "--out", "missing/x.json"],
+            "cannot write missing/x.json: No such file or directory",
+        ),
+        (["--csv", "new.csv", "--out", "s.csv/x.json"], "cannot write s.csv/x.json: Not a directory"),
+        (["--csv", "folder", "--out", "s.csv"], "cannot write folder: Is a directory"),
+    ],
+    ids=["out-missing-folder", "out-below-a-file", "csv-dir"],
+)
+def test_output_paths_are_checked_before_any_work(capsys, tmp_path, monkeypatch, paths, message):
+    # No sample is drawn, no side file written, and a file already at a
+    # path is not truncated.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("meandric.cli.samples_array", _refuse_to_work)
+    (tmp_path / "folder").mkdir()
+    if "missing/x.json" not in paths:
+        (tmp_path / "s.csv").write_text("kept\n")
+    sample = ["sample", "--n", "20", "--samples", "10", "--shape", LOOP, "--seed", "0"]
+    code, out, err = run_cli(capsys, *sample, *paths)
+    assert (code, out, err) == (EXIT_USAGE, "", f"usage error: {message}\n")
+    files = {p.name: p.read_text() for p in tmp_path.iterdir() if p.is_file()}
+    assert files == ({} if "missing/x.json" in paths else {"s.csv": "kept\n"})
+
+
+def test_replay_and_verify_check_their_output_first(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["shapes", "--parse", LOOP, "--out", "run.json"]) == EXIT_OK
+    monkeypatch.setattr("meandric.cli._shapes_payload", _refuse_to_work)
+    monkeypatch.setattr(verify, "run_suite", _refuse_to_work)
+    (tmp_path / "old.json").write_text("kept\n")
+    (tmp_path / "old.json").chmod(0o444)
+    (tmp_path / "locked").mkdir(mode=0o555)
+    if os.access("old.json", os.W_OK):  # permissions do not bind this user (root)
+        access = os.access
+        denied = ("old.json", "locked")
+        monkeypatch.setattr(os, "access", lambda path, mode: path not in denied and access(path, mode))
+    cases = [
+        (["replay", "run.json", "--out", "missing/r.json"], "missing/r.json: No such file or directory"),
+        (["replay", "run.json", "--out", "old.json"], "old.json: Permission denied"),
+        (["verify", "--out", "missing/v.json"], "missing/v.json: No such file or directory"),
+        (["verify", "--out", "locked/v.json"], "locked/v.json: Permission denied"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (EXIT_USAGE, "", f"usage error: cannot write {message}\n")
+    assert (tmp_path / "old.json").read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["locked", "old.json", "run.json"]
+
+
+def test_closed_stdout_is_quiet():
+    # The ℓ = 5 listing (86 kB) outgrows the pipe buffer, so the command is
+    # still writing when the reader stops after one line.
+    path = str(Path(meandric.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "meandric.cli", "shapes", "--half-length", "5", "--max-half-length", "5"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert child.stdout.readline() == b"{\n"
+    child.stdout.close()
+    assert child.wait(timeout=60) == EXIT_OK
+    assert child.stderr.read() == b""
+    child.stderr.close()
+
+
 REPLAYED_MOMENTS = ["moments", "--n", "3", "--r", "1"]
 
 

@@ -101,25 +101,25 @@ def test_mask_width_cap(loop1):
 
 def test_distribution_memory(loop1):
     # At n = 11 there are 2**21 position sets.  Int64 U and L with a third
-    # array for U * L peaked at 49.1 MiB, and the product formed in U at
-    # 33.3 MiB.  The simple loop's equal halves share one int32 array
-    # (8 MiB) beside the int64 product, which peaks at 24.6 MiB; the
-    # masks are counted into U with no int64 bin array, which no longer
-    # sets the peak (tracemalloc, numpy 2.4.6).
+    # array for U * L peaked at 49.1 MiB, the product formed in U at
+    # 33.3 MiB, and one int32 array of 2**21 sums beside the int64 product
+    # at 24.6 MiB.  Indexed by star blocks, the simple loop's sets take
+    # 3**10 * 2 int64 entries (0.9 MiB) per array, and the enumeration
+    # sets the peak at 4.97 MiB (tracemalloc, numpy 2.4.6).
     tracemalloc.start()
     try:
         exact_distribution(11, loop1, size_cap=11)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 29 * 2**20
+    assert peak < 6 * 2**20
 
 
-def test_int32_distribution_memory(loop1):
-    # At n = 10 the 2**19 int32 counts alone take 2 MiB.  An int64 bin
-    # array, its int32 copy and an int64 product peaked at 6.19 MiB; the
-    # counts, their product and its inversion in one int32 array peak at
-    # 2.33 MiB (tracemalloc, numpy 2.4.6).
+def test_cached_masks_distribution_memory(loop1):
+    # At n = 10, with the masks cached, 2**19 int32 sums, their product and
+    # its inversion in one array peaked at 2.33 MiB.  The star arrays hold
+    # 3**9 * 2 int64 entries (0.3 MiB) each and peak at 0.79 MiB
+    # (tracemalloc, numpy 2.4.6).
     oracle._occurrence_masks(10, loop1)
     tracemalloc.start()
     try:
@@ -127,18 +127,15 @@ def test_int32_distribution_memory(loop1):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 2**20
+    assert peak < 1 * 2**20
 
 
 @pytest.mark.parametrize("n", [10, 11])
 @pytest.mark.parametrize("text", ["supp=1,2;up=1-2;lo=1-2", "supp=1,2,3,4;up=1-4,2-3;lo=1-2,3-4"])
 def test_int32_and_int64_paths_meet(n, text):
     # n = 10 is the last size whose catalan(n)**2 fits int32, n = 11 the
-    # first that needs int64; the second shape's halves differ.
+    # first that does not; the second shape's halves differ.
     shape = parse_shape(text)
-    fits = catalan(n) ** 2 < 2**31
-    assert fits == (n == 10)
-    assert oracle._exact_counts(n, shape).dtype == (np.int32 if fits else np.int64)
     assert sum(exact_distribution(n, shape, size_cap=n).values()) == catalan(n) ** 2
     for r in (1, 2, 3):
         assert exact_factorial_moment(n, r, shape, size_cap=n) == factorial_moment_strong(n, r, shape)
@@ -146,15 +143,29 @@ def test_int32_and_int64_paths_meet(n, text):
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 def test_fold_supersets_against_brute_force(dtype):
+    # The star fold over blocks of k = 2, 3 and 4 positions, with and
+    # without a short last block; it works in place, in the given dtype.
     rng = np.random.default_rng(3)
-    for width in range(11):
-        counts = rng.integers(0, 1000, 1 << width).astype(dtype)
-        sets = np.arange(1 << width)
-        expected = [int(counts[sets & s == s].sum()) for s in sets]
-        folded = oracle._fold_supersets(counts.copy(), np.add)
+    for k, width in [(2, 0), (2, 1), (2, 6), (2, 7), (3, 9), (3, 11), (4, 10), (4, 12)]:
+        size = int(np.prod(oracle._star_dims(k, width)))
+        sets = np.arange(size)
+        masks = oracle._star_masks(sets, k, width)
+        assert np.array_equal(oracle._star_index(masks, k, width), sets)
+        assert np.array_equal(oracle._star_sizes(k, width), np.bitwise_count(masks))
+        counts = rng.integers(0, 1000, size).astype(dtype)
+        expected = [int(counts[masks & m == m].sum()) for m in masks]
+        folded = oracle._fold_supersets(counts.copy(), k, width, np.add)
         assert folded.dtype == dtype
         assert folded.tolist() == expected
-        assert np.array_equal(oracle._fold_supersets(folded, np.subtract), counts)
+        assert np.array_equal(oracle._fold_supersets(folded, k, width, np.subtract), counts)
+
+
+def test_two_copies_in_one_block_raise(loop1, monkeypatch):
+    # The simple loop's blocks hold two positions; 0b11 puts copies at both.
+    masks = np.array([0b11, 0, 0, 0, 0], dtype=np.int32)
+    monkeypatch.setattr(oracle, "_occurrence_masks", lambda n, shape: (masks, masks))
+    with pytest.raises(OracleInvariantError, match="at most one copy"):
+        exact_distribution(3, loop1)
 
 
 def test_equal_halves_share_one_array(loop1):
