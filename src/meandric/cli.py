@@ -158,6 +158,17 @@ def _check_writable(path: str) -> None:
         raise UsageError(f"cannot write {path}: {os.strerror(code)}")
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two output paths name one file: the same path however
+    spelled, through a symlink, or, when both exist, a hard link."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet
+        return False
+
+
 def _read_input(path: str) -> str:
     """Text of one input file; a path that cannot be read (missing, a
     directory, no permission) or text that is not UTF-8 is a usage error."""
@@ -628,9 +639,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args is None:
             args = build_parser().parse_args(argv)
         config = _read_config(args.config)
-        for path in (getattr(args, "csv", None), args.out):
+        side, out = getattr(args, "csv", None), args.out
+        for path in (side, out):
             if path:
                 _check_writable(path)
+        if side and out and _same_file(side, out):
+            flag = _COMMANDS[args.command].side_file.flag
+            raise UsageError(f"{flag} {side} and --out {out} name the same file")
         return args.func(args, config)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -119,15 +119,21 @@ class _Philox:
     numpy reports the counter, key and buffer as uint64 arrays, and its
     state setter converts their numpy scalars one at a time; ``fresh``
     holds them as lists of plain ints, which it reads about three times as
-    fast.  At n = 4 (2 cores, Python 3.11.7, numpy 2.4.6) a draw then costs
-    about 3.6 us: 2.3 us in ``Generator.shuffle``, 0.8 us to reset the
-    state, 0.15 us of loop and 0.4 us for the block's heights and codes.
-    With array state it cost about 5.9 us, 2.0 us of it the reset.
+    fast.
+
+    ``shuffle`` is the legacy ``RandomState.shuffle`` over the same bit
+    generator.  It runs the same Fisher-Yates loop with the same bounded
+    draws as ``Generator.shuffle``, so the walks are the same bytes, but
+    it spends less per call outside the loop; and numpy keeps the legacy
+    stream frozen (NEP 19).  At n = 4 (2 cores, Python 3.11.7, numpy
+    2.4.6) a draw costs about 1.7 us: 0.45 us to reset the state, 0.95 us
+    in the legacy shuffle (1.3 us in ``Generator.shuffle``), 0.03 us of
+    loop and 0.2 us for the block's heights and codes.
     """
 
     def __init__(self) -> None:
         self.bitgen = np.random.Philox(key=0)
-        self.shuffle = np.random.Generator(self.bitgen).shuffle
+        self.shuffle = np.random.RandomState(self.bitgen).shuffle
         fresh = self.bitgen.state
         fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
         fresh["buffer"] = fresh["buffer"].tolist()
@@ -168,8 +174,11 @@ def _height_rows(n: int, seed: int, stream: int, start: int, stop: int) -> np.nd
     """Dyck path heights of the matchings at positions [start, stop) of one
     (seed, stream), one ``2n + 1`` row each (see ``_rotated_heights``).
 
-    Each walk is ``Generator(Philox(key)).permutation(2n + 1)`` for its
-    position's key, its entries below n marking the up-steps.
+    Each walk is drawn as ``RandomState(Philox(key)).shuffle(arange(2n +
+    1))`` for its position's key, its entries below n marking the up-steps.
+    The stream is defined as ``Generator(Philox(key)).permutation(2n + 1)``;
+    the tests pin the two equal, at widths up to 32769, where one walk takes
+    many Philox blocks.
     """
     high, low = divmod(_philox_key(seed, stream, start), 1 << 64)
     _philox_key(seed, stream, stop - 1)  # low + k must stay a valid key

@@ -625,6 +625,54 @@ def test_output_paths_are_checked_before_any_work(capsys, tmp_path, monkeypatch,
     assert files == ({} if "missing/x.json" in paths else {"s.csv": "kept\n"})
 
 
+ALIASES = {
+    "repeat": ("p", "p"),
+    "relative-and-absolute": ("p", "{tmp}/p"),
+    "dotted": ("p", "sub/../p"),
+    "symlink": ("link", "p"),
+    "hard-link": ("p", "hard"),
+}
+
+
+@pytest.mark.parametrize("alias", ALIASES, ids=list(ALIASES))
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        (["sample", "--n", "10", "--samples", "4", "--shape", LOOP], "--csv"),
+        (["moments", "--mode", "exact", "--n", "4", "--r", "1", "--shape", LOOP], "--distribution-csv"),
+    ],
+    ids=["sample", "moments"],
+)
+def test_side_file_aliasing_out_is_refused_before_any_work(capsys, tmp_path, monkeypatch, command, flag, alias):
+    # The payload would overwrite the side file whose digest its manifest
+    # records; no work starts and no file is written or truncated.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("meandric.cli.samples_array", _refuse_to_work)
+    monkeypatch.setattr("meandric.cli.moment_report", _refuse_to_work)
+    monkeypatch.setattr(oracle, "exact_distribution", _refuse_to_work)
+    (tmp_path / "sub").mkdir()
+    if alias == "symlink":
+        (tmp_path / "link").symlink_to("p")  # dangling: p does not exist yet
+    if alias == "hard-link":
+        (tmp_path / "p").write_text("kept\n")
+        os.link(tmp_path / "p", tmp_path / "hard")
+    side, out = (path.format(tmp=tmp_path) for path in ALIASES[alias])
+    code, stdout, err = run_cli(capsys, *command, flag, side, "--out", out)
+    assert (code, stdout) == (EXIT_USAGE, "")
+    assert err == f"usage error: {flag} {side} and --out {out} name the same file\n"
+    kept = {"p": "kept\n", "hard": "kept\n"} if alias == "hard-link" else {}
+    assert {p.name: p.read_text() for p in tmp_path.iterdir() if p.is_file()} == kept
+
+
+def test_distinct_side_file_and_out_both_written(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link").symlink_to("elsewhere")
+    code = main(["sample", "--n", "10", "--samples", "4", "--shape", LOOP, "--csv", "link", "--out", "p"])
+    assert code == EXIT_OK
+    assert (tmp_path / "elsewhere").read_text().startswith("position,x\n")
+    assert json.loads((tmp_path / "p").read_text())["manifest"]["parameters"]["csvSha256"]
+
+
 def test_replay_and_verify_check_their_output_first(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["shapes", "--parse", LOOP, "--out", "run.json"]) == EXIT_OK

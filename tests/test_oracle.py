@@ -10,7 +10,7 @@ from meandric.analysis import disjoint_moment_term, factorial_moment_strong, sha
 from meandric.combinatorics import catalan
 from meandric import oracle
 from meandric.errors import CapExceededError, FormulaMismatchError, OracleInvariantError
-from meandric.meanders import count_shape, enumerate_shapes, parse_shape, simple_loop
+from meandric.meanders import component_shape, components, count_shape, enumerate_shapes, parse_shape, simple_loop
 from meandric.oracle import (
     MAX_MASK_WIDTH,
     block_spectrum,
@@ -237,6 +237,26 @@ def test_first_moment_identity_all_shapes():
     for n in range(1, 7):
         for shape in shapes:
             assert exact_factorial_moment(n, 1, shape) == disjoint_moment_term(n, 1, shape)
+
+
+MEAN_COMPONENTS = {1: Fraction(1), 2: Fraction(3, 2), 3: Fraction(47, 25), 4: Fraction(31, 14), 5: Fraction(53, 21)}
+
+
+@pytest.mark.parametrize("n", sorted(MEAN_COMPONENTS))
+def test_census_every_component_has_one_shape(n):
+    # Each component of a system has exactly one shape, of half-length at
+    # most n, so the shapes' mean counts add up to the mean number of
+    # components, and to the mean number of components of each half-length.
+    # A missing, repeated or wrongly refused shape breaks it, and so does a
+    # wrong r = 1 closed form.
+    systems, by_ell = 0, Counter()
+    for system in enumerate_systems(n):
+        systems += 1
+        by_ell.update(component_shape(c, system).half_length for c in components(system))
+    assert Fraction(sum(by_ell.values()), systems) == MEAN_COMPONENTS[n]
+    for ell in range(1, n + 1):
+        census = sum(disjoint_moment_term(n, 1, shape) for shape in enumerate_shapes(ell))
+        assert census == Fraction(by_ell[ell], systems)
 
 
 def test_moment_examples(loop1):

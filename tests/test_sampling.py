@@ -436,6 +436,22 @@ def test_kernel_rows_are_the_stream(n, seed, position, stream, rows):
         assert row.tolist() == path_heights(np.array(partner)).tolist()
 
 
+@pytest.mark.parametrize("n", [2000, 16384])  # masked rejection over 12 and 15 bits
+@pytest.mark.parametrize(
+    "seed,stream,position",
+    [(0, UPPER_STREAM, 0), (2**64 - 1, LOWER_STREAM, 2**60 - 2), (0x9E3779B97F4A7C15, LOWER_STREAM, 123456789)],
+    ids=["origin", "last-keys", "mid"],
+)
+def test_kernel_rows_are_the_stream_at_large_widths(n, seed, stream, position):
+    # The kernel shuffles through the legacy RandomState; the stream is
+    # defined by Generator.permutation.  Rows this wide take many Philox
+    # blocks.  Should a numpy release make Generator draw differently, this
+    # fails while the golden digests, drawn through the kernel, still pass.
+    heights = _height_rows(n, seed, stream, position, position + 2)
+    for k, row in enumerate(heights):
+        assert row.tolist() == path_heights(np.array(reference_partner(n, seed, stream, position + k))).tolist()
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 60), seeds, positions, st.sampled_from(STREAMS), st.integers(1, 6))
 def test_kernel_heights_are_dyck_paths_of_the_stream(n, seed, position, stream, rows):
