@@ -643,9 +643,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         for path in (side, out):
             if path:
                 _check_writable(path)
+        side_flag = side and _COMMANDS[args.command].side_file.flag
         if side and out and _same_file(side, out):
-            flag = _COMMANDS[args.command].side_file.flag
-            raise UsageError(f"{flag} {side} and --out {out} name the same file")
+            raise UsageError(f"{side_flag} {side} and --out {out} name the same file")
+        # An output over an input would destroy what a replay reads back.
+        inputs = (("--config", args.config), ("manifest", getattr(args, "manifest", None)))
+        for flag, path in ((side_flag, side), ("--out", out)):
+            for name, source in inputs:
+                if path and source and _same_file(path, source):
+                    raise UsageError(f"{flag} {path} and {name} {source} name the same file")
         return args.func(args, config)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

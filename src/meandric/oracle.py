@@ -13,32 +13,32 @@ enumeration kernel of :mod:`meandric.combinatorics` builds the
 ``catalan(n) x (2n + 1)`` matrix of Dyck path heights of all matchings of
 size n directly in numpy, with no Python object per matching and no
 pairing of steps; :func:`meandric.meanders.arcs_at` tests each half of the
-shape at every position of every matching in one vectorized pass, and
-each matching's row of hits is packed into one integer bitmask over the
-``width = 2n - 2 * half_length + 1`` positions.  The masks are cached per
-half, so shapes that share a half share its masks.  Each half clashes
+shape at every position of every matching in one vectorized pass, over
+the ``width = 2n - 2 * half_length + 1`` positions.  Each half clashes
 with its own translate at every offset up to its longest arc, so copies
 start at least ``k = 1 + min(longest upper arc, longest lower arc)``
 positions apart and a block of k consecutive positions holds at most
 one.  A position set is indexed by one digit per block (0 for no copy, j
 for the block's j-th position), over ``prod(block length + 1)`` entries:
-for the simple loop 3**8 * 2 = 13,122 at n = 9, where the bitmask index
-had 2**17, and 354,294 at n = 12 against 2**23.  The masks are counted
-by distinct value into that star index, and each half is summed over
-supersets with one strided ``np.add`` per block position (once per
-distinct half), which gives ``U[S] * L[S]``, the number of systems with
-copies at every position of the set S.  Pair probabilities and block
-spectra read that product directly; one superset Moebius inversion, the
-same loop with ``np.subtract``, turns it into the number of systems
-whose copies sit exactly at T, whose histogram by ``|T|`` is the
-distribution.  A factorial moment weights each count x by
+for the simple loop 3**8 * 2 = 13,122 at n = 9, where a bitmask index
+had 2**17, and 354,294 at n = 12 against 2**23.  Each matching's hits
+are read straight into its star index, the matchings are counted per
+index with ``np.bincount``, and each half is summed over supersets with
+one strided ``np.add`` per block position.  The sums are cached per half
+and block size, so shapes that share both share one array, and the cache
+holds no array whose size grows with ``catalan(n)``.  ``U[S] * L[S]`` is
+the number of systems with copies at every position of the set S.  Pair
+probabilities and block spectra read that product directly; one superset
+Moebius inversion, the same loop with ``np.subtract``, turns it into the
+number of systems whose copies sit exactly at T, whose histogram by
+``|T|`` is the distribution.  A factorial moment weights each count x by
 ``math.perm(x, r)``, 0 at once when r exceeds x.  No step loops over
-masks in Python.  All arrays are int64: every value counts systems, at
-most ``catalan(n)**2``, and the guard ``catalan(n) < 2**31`` keeps that
-within range.  For the simple loop in a fresh process (2 cores, Python
-3.11.7, numpy 2.4.6), a distribution takes about 0.002 s at n=9, 0.008 s
-at n=10, 0.026 s at n=11 and 0.08 s at n=12, enumeration included.  Sets
-of over ``MAX_MASK_WIDTH`` positions are refused.
+matchings in Python.  All arrays are int64: every value counts systems,
+at most ``catalan(n)**2``, and the guard ``catalan(n) < 2**31`` keeps
+that within range.  For the simple loop in a fresh process (2 cores,
+Python 3.11.7, numpy 2.4.6), a distribution takes about 0.003 s at n=9,
+0.007 s at n=10, 0.022 s at n=11 and 0.09 s at n=12, enumeration
+included.  Sets of over ``MAX_MASK_WIDTH`` positions are refused.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .analysis import (
     fraction_json,
     shape_constants,
 )
-from .combinatorics import NonCrossingMatching, _bit_codes, _dyck_walks, catalan, enumerate_matchings
+from .combinatorics import NonCrossingMatching, _dyck_walks, catalan, enumerate_matchings
 from .errors import CapExceededError, FormulaMismatchError, OracleInvariantError
 from .meanders import MeandricSystem, Shape, arcs_at, format_shape
 
@@ -119,24 +119,6 @@ def _width(n: int, shape: Shape) -> int:
     return max(0, 2 * n - 2 * shape.half_length + 1)
 
 
-@lru_cache(maxsize=128)
-def _half_masks(n: int, arcs: tuple[tuple[int, int], ...], width: int) -> np.ndarray:
-    """Per-matching bitmasks of one half: bit ``i-1`` of entry j is set iff
-    matching j contains the arcs translated to start at position i.  The
-    array is read-only, since the cache shares it between shapes."""
-    mask = _bit_codes(arcs_at(_dyck_walks(n), arcs, width))
-    mask.flags.writeable = False
-    return mask
-
-
-def _occurrence_masks(n: int, shape: Shape) -> tuple[np.ndarray, np.ndarray]:
-    """``(up, lo)``: the bitmasks of the shape's upper arcs and of its lower
-    arcs.  The masks are cached per half, so shapes with an equal half share
-    one array, and a shape whose halves are equal gets one array twice."""
-    width = _width(n, shape)
-    return _half_masks(n, shape.upper, width), _half_masks(n, shape.lower, width)
-
-
 def _block_size(shape: Shape) -> int:
     """Positions per star block: one more than the shorter of the two
     halves' longest arcs.  Each half clashes with its own translate at
@@ -160,29 +142,8 @@ def _star_dims(k: int, width: int) -> tuple[int, ...]:
     return ((last + 1,) if last else ()) + (k + 1,) * full
 
 
-def _star_index(masks: np.ndarray, k: int, width: int) -> np.ndarray:
-    """Star index of each bitmask (bit ``i-1`` for position i).  A mask
-    with two positions in one block, or a position beyond ``width``, is
-    not a set of copies and raises :class:`OracleInvariantError`."""
-    digit = np.full(1 << k, -1, dtype=np.int64)
-    digit[0] = 0
-    digit[1 << np.arange(k)] = np.arange(1, k + 1)
-    index = np.zeros(masks.shape, dtype=np.int64)
-    bad = masks >> width != 0
-    for b, start in enumerate(range(0, width, k)):
-        digits = digit[masks >> start & (1 << k) - 1]
-        bad |= digits < 0
-        index += digits * (k + 1) ** b
-    if bad.any():
-        raise OracleInvariantError(
-            f"occurrence mask {int(masks[bad][0]):#b} does not hold at most one copy "
-            f"in each block of {k} of its {width} positions"
-        )
-    return index
-
-
 def _star_masks(index: np.ndarray, k: int, width: int) -> np.ndarray:
-    """The bitmask of each star index: the inverse of :func:`_star_index`."""
+    """The bitmask of each star index: bit ``i-1`` is set for position i."""
     bit = np.concatenate(([0], 1 << np.arange(k)))
     masks = np.zeros_like(index)
     for start in range(0, width, k):
@@ -201,15 +162,51 @@ def _star_sizes(k: int, width: int) -> np.ndarray:
     return sizes
 
 
+@lru_cache(maxsize=128)
+def _half_sums(n: int, arcs: tuple[tuple[int, int], ...], width: int, k: int) -> np.ndarray:
+    """Superset sums of one half over the star index of position sets S
+    (see :func:`_star_dims`): entry S counts the matchings of size n that
+    hold the arcs translated to start at every position of S.
+
+    Each matching's hits from :func:`arcs_at` are read into its star
+    index one block at a time, the block's last hit setting its digit,
+    so no digit carries into the next block.  An index never has more
+    positions than its matching has hits, and has fewer exactly when two
+    hits share a block: that is not a set of copies, so a shortfall in
+    the total raises :class:`OracleInvariantError`.  The matchings are
+    counted per index with ``np.bincount`` and summed over supersets.
+    The array is read-only, since the cache shares it between shapes."""
+    hits = arcs_at(_dyck_walks(n), arcs, width)
+    index = np.zeros(len(hits), dtype=np.intp)
+    digit = np.empty_like(index)
+    for b, start in enumerate(range(0, width, k)):
+        digit.fill(0)
+        for j, column in enumerate(hits.T[start : start + k], 1):
+            np.copyto(digit, j * (k + 1) ** b, where=column)
+        index += digit
+    sizes = _star_sizes(k, width)[index]
+    if np.count_nonzero(hits) != sizes.sum():
+        row = np.flatnonzero(np.count_nonzero(hits, axis=1) != sizes)[0]
+        positions = (np.flatnonzero(hits[row]) + 1).tolist()
+        raise OracleInvariantError(
+            f"matching {row} of size {n} has copies at positions {positions}, not at most "
+            f"one copy in each block of {k} of its {width} positions"
+        )
+    counts = np.bincount(index, minlength=math.prod(_star_dims(k, width)))
+    _fold_supersets(counts, k, width, np.add)
+    counts.flags.writeable = False
+    return counts
+
+
 def _superset_sums(n: int, shape: Shape) -> tuple[np.ndarray, np.ndarray]:
-    """``(U, L)`` over the star index of position sets S (see
-    :func:`_star_dims`): ``U[S]`` counts the upper matchings that hold the
+    """``(U, L)``: the :func:`_half_sums` of the shape's upper arcs and of
+    its lower arcs.  ``U[S]`` counts the upper matchings that hold the
     shape's upper arcs at every position of S, and ``L[S]`` the same for
     the lower.  So ``U[S] * L[S]`` counts the systems with copies at every
     position of S; a set with two positions in one block has none, and no
-    index.  Both are int64, counted by distinct mask.  Equal masks are
-    folded once and the one array is returned twice, so both are
-    read-only."""
+    index.  Both are int64 and read-only; shapes with an equal half and
+    block size share its array, and a shape whose halves are equal gets
+    one array twice."""
     width = _width(n, shape)
     if width > MAX_MASK_WIDTH or catalan(n) >= 2**31:
         raise CapExceededError(
@@ -217,17 +214,7 @@ def _superset_sums(n: int, shape: Shape) -> tuple[np.ndarray, np.ndarray]:
             f"{shape.half_length} shape; the oracle stops at 2**{MAX_MASK_WIDTH}"
         )
     k = _block_size(shape)
-    size = math.prod(_star_dims(k, width))
-    up, lo = _occurrence_masks(n, shape)
-    sums = []
-    for mask in (up,) if up is lo else (up, lo):
-        sets, matchings = np.unique(mask, return_counts=True)
-        counts = np.zeros(size, dtype=np.int64)
-        counts[_star_index(sets, k, width)] = matchings
-        _fold_supersets(counts, k, width, np.add)
-        counts.flags.writeable = False
-        sums.append(counts)
-    return sums[0], sums[-1]
+    return _half_sums(n, shape.upper, width, k), _half_sums(n, shape.lower, width, k)
 
 
 def _fold_supersets(counts: np.ndarray, k: int, width: int, op: np.ufunc) -> np.ndarray:

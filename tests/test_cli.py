@@ -664,6 +664,35 @@ def test_side_file_aliasing_out_is_refused_before_any_work(capsys, tmp_path, mon
     assert {p.name: p.read_text() for p in tmp_path.iterdir() if p.is_file()} == kept
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["replay", "run.json", "--out", "run.json"], "--out run.json and manifest run.json"),
+        (["replay", "alias.json", "--out", "run.json"], "--out run.json and manifest alias.json"),
+        (["--config", "c", "shapes", "--parse", LOOP, "--out", "c"], "--out c and --config c"),
+        (
+            ["--config", "c", "sample", "--n", "10", "--samples", "4", "--shape", LOOP, "--csv", "c", "--out", "o.json"],
+            "--csv c and --config c",
+        ),
+    ],
+    ids=["replay-out", "replay-symlink", "config-out", "config-csv"],
+)
+def test_output_over_an_input_is_refused_before_any_work(capsys, tmp_path, monkeypatch, argv, message):
+    # The manifest or config file would be overwritten, and a later replay
+    # of it would fail; no work starts and no file is written or truncated.
+    monkeypatch.chdir(tmp_path)
+    assert main(["shapes", "--parse", LOOP, "--out", "run.json"]) == EXIT_OK
+    capsys.readouterr()
+    (tmp_path / "alias.json").symlink_to("run.json")
+    (tmp_path / "c").write_text("workers = 1\n")
+    before = {p.name: p.read_text() for p in tmp_path.iterdir()}
+    monkeypatch.setattr("meandric.cli._shapes_payload", _refuse_to_work)
+    monkeypatch.setattr("meandric.cli.samples_array", _refuse_to_work)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (EXIT_USAGE, "", f"usage error: {message} name the same file\n")
+    assert {p.name: p.read_text() for p in tmp_path.iterdir()} == before
+
+
 def test_distinct_side_file_and_out_both_written(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "link").symlink_to("elsewhere")

@@ -7,10 +7,19 @@ import numpy as np
 import pytest
 
 from meandric.analysis import disjoint_moment_term, factorial_moment_strong, shape_constants
-from meandric.combinatorics import catalan
-from meandric import oracle
+from meandric.combinatorics import _bit_codes, _dyck_walks, catalan
+from meandric import oracle, verify
 from meandric.errors import CapExceededError, FormulaMismatchError, OracleInvariantError
-from meandric.meanders import component_shape, components, count_shape, enumerate_shapes, parse_shape, simple_loop
+from meandric.meanders import (
+    Shape,
+    arcs_at,
+    component_shape,
+    components,
+    count_shape,
+    enumerate_shapes,
+    parse_shape,
+    simple_loop,
+)
 from meandric.oracle import (
     MAX_MASK_WIDTH,
     block_spectrum,
@@ -61,8 +70,11 @@ def test_distribution_against_tracing(weak_l5):
 def _mask_pair_reference(n, shape):
     """The distribution and the block spectra for r = 1..5 (as counts of
     systems), by the product over all (upper, lower) mask pairs and a loop
-    over the r-subsets of each joint mask."""
-    up, lo = (Counter(masks.tolist()) for masks in oracle._occurrence_masks(n, shape))
+    over the r-subsets of each joint mask.  The masks are built here, bit
+    ``i-1`` for a copy of the half at position i, apart from the oracle's
+    star index."""
+    walks, width = _dyck_walks(n), oracle._width(n, shape)
+    up, lo = (Counter(_bit_codes(arcs_at(walks, half, width)).tolist()) for half in (shape.upper, shape.lower))
     joint = Counter()
     for up_mask, up_count in up.items():
         for lo_mask, lo_count in lo.items():
@@ -118,9 +130,10 @@ def test_distribution_memory(loop1):
 def test_cached_masks_distribution_memory(loop1):
     # At n = 10, with the masks cached, 2**19 int32 sums, their product and
     # its inversion in one array peaked at 2.33 MiB.  The star arrays hold
-    # 3**9 * 2 int64 entries (0.3 MiB) each and peak at 0.79 MiB
-    # (tracemalloc, numpy 2.4.6).
-    oracle._occurrence_masks(10, loop1)
+    # 3**9 * 2 int64 entries (0.3 MiB) each; with the sums cached, the
+    # product, its inversion and the sizes peak at 0.79 MiB (tracemalloc,
+    # numpy 2.4.6).
+    oracle._superset_sums(10, loop1)
     tracemalloc.start()
     try:
         exact_distribution(10, loop1, size_cap=10)
@@ -150,7 +163,11 @@ def test_fold_supersets_against_brute_force(dtype):
         size = int(np.prod(oracle._star_dims(k, width)))
         sets = np.arange(size)
         masks = oracle._star_masks(sets, k, width)
-        assert np.array_equal(oracle._star_index(masks, k, width), sets)
+        # One-to-one onto sets of positions 1..width, at most one per block.
+        assert len(np.unique(masks)) == size
+        assert not (masks >> width).any()
+        for start in range(0, width, k):
+            assert np.bitwise_count(masks >> start & (1 << k) - 1).max() <= 1
         assert np.array_equal(oracle._star_sizes(k, width), np.bitwise_count(masks))
         counts = rng.integers(0, 1000, size).astype(dtype)
         expected = [int(counts[masks & m == m].sum()) for m in masks]
@@ -161,24 +178,89 @@ def test_fold_supersets_against_brute_force(dtype):
 
 
 def test_two_copies_in_one_block_raise(loop1, monkeypatch):
-    # The simple loop's blocks hold two positions; 0b11 puts copies at both.
-    masks = np.array([0b11, 0, 0, 0, 0], dtype=np.int32)
-    monkeypatch.setattr(oracle, "_occurrence_masks", lambda n, shape: (masks, masks))
+    # The simple loop's blocks hold two positions; the first matching gets
+    # hits at both positions of the first block.
+    def two_in_one_block(heights, arcs, width):
+        hits = arcs_at(heights, arcs, width)
+        hits[0, :2] = True
+        return hits
+
+    monkeypatch.setattr(oracle, "arcs_at", two_in_one_block)
+    oracle._half_sums.cache_clear()
     with pytest.raises(OracleInvariantError, match="at most one copy"):
         exact_distribution(3, loop1)
 
 
 def test_equal_halves_share_one_array(loop1):
-    up, lo = oracle._occurrence_masks(6, loop1)
+    up, lo = oracle._superset_sums(6, loop1)
     assert up is lo
-    sums = oracle._superset_sums(6, loop1)
-    assert sums[0] is sums[1]
-    assert not sums[0].flags.writeable
+    assert not up.flags.writeable
     by_upper = {}
     for shape in enumerate_shapes(3):
-        by_upper.setdefault(shape.upper, []).append(shape)
+        by_upper.setdefault((shape.upper, oracle._block_size(shape)), []).append(shape)
     first, second = next(group for group in by_upper.values() if len(group) > 1)[:2]
-    assert oracle._occurrence_masks(6, first)[0] is oracle._occurrence_masks(6, second)[0]
+    assert oracle._superset_sums(6, first)[0] is oracle._superset_sums(6, second)[0]
+
+
+# A weak shape of half-length 7 with 13 positions at n = 12.
+WEAK_L7 = "supp=1,2,7,8,13,14;up=1-8,2-7,13-14;lo=1-2,7-14,8-13"
+
+
+def test_cache_holds_no_per_matching_array():
+    # The cache keeps star arrays, sized by the width and the block size
+    # alone: here 8 * 2 int64 entries per half.  Per-matching bitmasks of
+    # the two halves, catalan(12) int64 each, retained 3.18 MiB.
+    oracle._half_sums.cache_clear()
+    tracemalloc.start()
+    try:
+        exact_distribution(12, parse_shape(WEAK_L7), size_cap=12)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 0.1 * 2**20
+
+
+def _swap(shape):
+    """The shape with its halves exchanged."""
+    return Shape(shape.support, shape.lower, shape.upper)
+
+
+def _mirror(shape):
+    """The shape reflected left to right, v -> 2 * half_length + 1 - v."""
+    top = 2 * shape.half_length + 1
+
+    def flip(arcs):
+        return tuple(sorted((top - b, top - a) for a, b in arcs))
+
+    return Shape(tuple(sorted(top - v for v in shape.support)), flip(shape.upper), flip(shape.lower))
+
+
+def _images(shape):
+    return [shape, _swap(shape), _mirror(shape), _swap(_mirror(shape))]
+
+
+def test_dihedral_images_share_one_law():
+    # Exchanging the half-planes, or reading the axis right to left, maps
+    # systems one-to-one onto systems and copies onto copies, so the four
+    # images of a shape have one law.  The mirror reverses every
+    # left-to-right rule of the oracle: the heights arcs_at reads, the
+    # order of the star blocks and their digits.
+    for ell in (1, 2, 3):
+        shapes = enumerate_shapes(ell)
+        for shape in shapes:
+            for n in (ell + 3, 9):
+                law = exact_distribution(n, shape, size_cap=9)
+                spectrum = block_spectrum(n, 2, shape, size_cap=9)
+                for image in _images(shape)[1:]:
+                    assert image in shapes
+                    assert exact_distribution(n, image, size_cap=9) == law
+                    assert block_spectrum(n, 2, image, size_cap=9) == spectrum
+
+
+def test_weak_l5_images_share_one_law(weak_l5):
+    assert _mirror(weak_l5) == parse_shape(verify._WEAK_L5_MIRROR)
+    laws = [exact_distribution(10, image, size_cap=10) for image in _images(weak_l5)]
+    assert all(law == laws[0] for law in laws)
 
 
 def test_block_spectrum_widens_the_product(loop1):
