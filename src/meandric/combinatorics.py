@@ -80,7 +80,10 @@ def _dyck_walks(n: int) -> np.ndarray:
         raise ValueError(f"enumerate_matchings undefined for n={n}")
     count = catalan(n)
     dtype = np.int32 if count < 2**31 else np.int64
-    walks = np.empty((count, 2 * n + 1), dtype=np.int16)
+    try:
+        walks = np.empty((count, 2 * n + 1), dtype=np.int16)
+    except ValueError:  # numpy cannot even index that many rows
+        raise MemoryError(f"the {count} Dyck paths of size {n} are too many to list") from None
     walks[:, 0] = 0
     rank = np.arange(count, dtype=dtype)
     height = np.zeros(count, dtype=np.int16)
@@ -213,8 +216,8 @@ def enumerate_matchings(n: int) -> Iterator[NonCrossingMatching]:
     order of :func:`_dyck_walks`.  The count is ``catalan(n)``.
 
     All rows of heights are built before the first matching is yielded,
-    O(catalan(n) * n) memory, meant for small n (n <= 8 in the tests,
-    the shape half-length in ``enumerate_shapes``)."""
+    O(catalan(n) * n) memory, meant for small n (n <= 8 in the tests, at
+    most the half-length in ``enumerate_shapes``)."""
     for row in _dyck_walks(n).tolist():
         yield _matching_from_heights(row)
 

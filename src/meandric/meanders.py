@@ -6,16 +6,15 @@ horizontal axis and the lower matching's arcs below it yields a family of
 disjoint closed loops crossing the axis exactly at ``1..2n``.  Each loop is
 a connected component; its translation-normalized combinatorial type is a
 shape.  This module traces loops (one walk, ``_loop``, serves
-:func:`components` and the connectivity check of :class:`Shape`), extracts
-and validates shapes, counts occurrences of a given shape (by tracing, and
-by :func:`arcs_at`, the vectorized arc test on Dyck path heights that the
-sampler and the oracle share), and enumerates all shapes of a given
-half-length.
+:func:`components`, the connectivity check of :class:`Shape` and the
+choice of shapes), extracts and validates shapes, counts occurrences of a
+given shape (by tracing, and by :func:`arcs_at`, the vectorized arc test
+on Dyck path heights that the sampler and the oracle share), and
+enumerates all shapes of a given half-length.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -284,27 +283,26 @@ def count_shape(system: MeandricSystem, shape: Shape) -> int:
 
 
 def _supports(ell: int) -> Iterator[tuple[int, ...]]:
-    """Candidate supports inside [1, 2*ell]: contain both endpoints and
-    alternate parity so that consecutive gaps are odd."""
-    top = 2 * ell
-    odds = range(3, top, 2)
-    evens = range(2, top, 2)
-    for k in range(1, ell + 1):
-        for odd_pick in itertools.combinations(odds, k - 1):
-            for even_pick in itertools.combinations(evens, k - 1):
-                support = tuple(sorted((1,) + odd_pick + even_pick + (top,)))
-                if all((b - a) % 2 == 1 for a, b in zip(support, support[1:])):
-                    yield support
+    """The supports of half-length ``ell`` in lexicographic order: runs from
+    1 to ``2 * ell`` climbing by odd steps, depth first, smallest step first.
+    Every partial run can reach the end, and a finished run has no next step."""
+    top, stack = 2 * ell, [(1,)]
+    while stack:
+        run = stack.pop()
+        if run[-1] == top:
+            yield run
+        stack.extend(run + (v,) for v in reversed(range(run[-1] + 1, top + 1, 2)))
 
 
 def enumerate_shapes(ell: int, max_half_length: int = DEFAULT_SHAPE_CAP) -> list[Shape]:
     """All shapes of half-length exactly ``ell``, deterministically ordered.
 
-    Order: supports ascending lexicographically; for each support, the
-    upper then lower matchings run in the order inherited from
-    :func:`enumerate_matchings` on the support's points.  ``ell`` is
-    capped (default 5) because the counts grow fast; pass a larger
-    ``max_half_length`` explicitly to go beyond.
+    The shapes on 2k support points are the pairs of matchings of [2k]
+    that close one loop, found once per k and relabelled onto each
+    support.  Order: supports ascending lexicographically, then the upper
+    and the lower matching in the order of :func:`enumerate_matchings`.
+    ``ell`` is capped (default 5) because the counts grow fast; pass a
+    larger ``max_half_length`` explicitly to go beyond.
     """
     if ell < 1:
         raise ValueError(f"half-length must be >= 1, got {ell}")
@@ -312,18 +310,17 @@ def enumerate_shapes(ell: int, max_half_length: int = DEFAULT_SHAPE_CAP) -> list
         raise CapExceededError(
             f"half-length {ell} above cap {max_half_length}", override="max_half_length"
         )
-    out = []
-    for support in sorted(_supports(ell)):
+    out, loops = [], {}
+    for support in _supports(ell):
         k = len(support) // 2
-        # Relabeling [2k] -> support preserves order, hence non-crossing.
-        relabelings = [
-            tuple(sorted((support[a - 1], support[b - 1]) for a, b in m.arcs()))
-            for m in enumerate_matchings(k)
-        ]
-        for upper in relabelings:
-            for lower in relabelings:
-                try:
-                    out.append(Shape(support, upper, lower))
-                except InvalidShapeError:
-                    continue
+        if k not in loops:
+            ms = list(enumerate_matchings(k))
+            loops[k] = [m.arcs() for m in ms], [
+                (i, j) for i, u in enumerate(ms) for j, w in enumerate(ms)
+                if len(_loop(1, u.partner, w.partner)) == 2 * k
+            ]
+        arcs, pairs = loops[k]
+        # Relabelling [2k] -> support preserves order, hence sorted, non-crossing arcs.
+        placed = [tuple((support[a - 1], support[b - 1]) for a, b in m) for m in arcs]
+        out.extend(Shape(support, placed[i], placed[j]) for i, j in pairs)
     return out

@@ -24,7 +24,8 @@ for the simple loop 3**8 * 2 = 13,122 at n = 9, where a bitmask index
 had 2**17, and 354,294 at n = 12 against 2**23.  Each matching's hits
 are read straight into its star index, the matchings are counted per
 index with ``np.bincount``, and each half is summed over supersets with
-one strided ``np.add`` per block position.  The sums are cached per half
+one strided ``np.add`` per block position.  The walks are built once for
+both halves of a request and dropped after it.  The sums are cached per half
 and block size, so shapes that share both share one array, and the cache
 holds no array whose size grows with ``catalan(n)``.  ``U[S] * L[S]`` is
 the number of systems with copies at every position of the set S.  Pair
@@ -59,7 +60,7 @@ from .analysis import (
     fraction_json,
     shape_constants,
 )
-from .combinatorics import NonCrossingMatching, _dyck_walks, catalan, enumerate_matchings
+from .combinatorics import _dyck_walks, catalan, enumerate_matchings
 from .errors import CapExceededError, FormulaMismatchError, OracleInvariantError
 from .meanders import MeandricSystem, Shape, arcs_at, format_shape
 
@@ -83,10 +84,8 @@ DEFAULT_SIZE_CAP = 8
 # the fold, bounds the sizes beyond it (the walks of n = 14 take 155 MB).
 MAX_MASK_WIDTH = 23
 
-
-# Largest size whose system count a refusal spells out: catalan(20)**2 has
-# 20 digits, while near n = 3600 the count passes the 4300 digits Python
-# will print, and computing it alone costs time.
+# Largest size whose system count a refusal spells out (catalan(20)**2 has 20
+# digits); near n = 3600 the count passes the 4300 digits Python will print.
 _COUNTED_SIZE = 20
 
 
@@ -98,19 +97,12 @@ def _check_cap(n: int, size_cap: int) -> None:
         raise CapExceededError(f"size {n} above cap {size_cap}{count}", override="size_cap")
 
 
-@lru_cache(maxsize=4)
-def _matchings(n: int) -> tuple[NonCrossingMatching, ...]:
-    return tuple(enumerate_matchings(n))
-
-
 def enumerate_systems(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> Iterator[MeandricSystem]:
     """All systems of size n: outer loop over the upper matching, inner
     loop over the lower, both in enumeration order."""
     _check_cap(n, size_cap)
-    ms = _matchings(n)
-    for upper in ms:
-        for lower in ms:
-            yield MeandricSystem(upper, lower)
+    ms = tuple(enumerate_matchings(n))
+    yield from (MeandricSystem(upper, lower) for upper in ms for lower in ms)
 
 
 def _width(n: int, shape: Shape) -> int:
@@ -162,6 +154,12 @@ def _star_sizes(k: int, width: int) -> np.ndarray:
     return sizes
 
 
+@lru_cache(maxsize=1)
+def _walks(n: int) -> np.ndarray:
+    """One size's walks, for both halves of a request; :func:`_superset_sums` drops them."""
+    return _dyck_walks(n)
+
+
 @lru_cache(maxsize=128)
 def _half_sums(n: int, arcs: tuple[tuple[int, int], ...], width: int, k: int) -> np.ndarray:
     """Superset sums of one half over the star index of position sets S
@@ -176,7 +174,7 @@ def _half_sums(n: int, arcs: tuple[tuple[int, int], ...], width: int, k: int) ->
     the total raises :class:`OracleInvariantError`.  The matchings are
     counted per index with ``np.bincount`` and summed over supersets.
     The array is read-only, since the cache shares it between shapes."""
-    hits = arcs_at(_dyck_walks(n), arcs, width)
+    hits = arcs_at(_walks(n), arcs, width)
     index = np.zeros(len(hits), dtype=np.intp)
     digit = np.empty_like(index)
     for b, start in enumerate(range(0, width, k)):
@@ -214,7 +212,10 @@ def _superset_sums(n: int, shape: Shape) -> tuple[np.ndarray, np.ndarray]:
             f"{shape.half_length} shape; the oracle stops at 2**{MAX_MASK_WIDTH}"
         )
     k = _block_size(shape)
-    return _half_sums(n, shape.upper, width, k), _half_sums(n, shape.lower, width, k)
+    try:
+        return _half_sums(n, shape.upper, width, k), _half_sums(n, shape.lower, width, k)
+    finally:
+        _walks.cache_clear()
 
 
 def _fold_supersets(counts: np.ndarray, k: int, width: int, op: np.ufunc) -> np.ndarray:

@@ -479,9 +479,9 @@ class UniformityReport:
 
 
 def _dyck_codes(heights: np.ndarray) -> np.ndarray:
-    """One integer per row of Dyck path heights: bit t is set when step t
-    goes up, that is when vertex t + 1 opens its arc."""
-    return _bit_codes(heights[:, 1:] > heights[:, :-1])
+    """One integer per row of 2n + 1 Dyck path heights: bit 2n - 1 - t is
+    set when step t goes down, so the codes of ``_dyck_walks(n)`` ascend."""
+    return _bit_codes((heights[:, 1:] < heights[:, :-1])[:, ::-1])
 
 
 def _uniformity_chunk(args: tuple[int, int, int, int, np.ndarray]) -> np.ndarray:
@@ -506,12 +506,11 @@ def matching_uniformity(n: int, draws: int, seed: int, worker_count: int = 1) ->
     _check_size(n)
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
-    codes = _dyck_codes(_dyck_walks(n))
-    outcomes = np.sort(codes)
+    outcomes = _dyck_codes(_dyck_walks(n))
     chunk = 50_000
     chunks = [(n, seed, start, min(start + chunk, draws), outcomes) for start in range(0, draws, chunk)]
     parts = _run_chunks(_uniformity_chunk, chunks, worker_count)
-    counts = np.sum(parts, axis=0)[np.searchsorted(outcomes, codes)]
+    counts = np.sum(parts, axis=0)
     if counts.sum() != draws:
         raise MeandricError(f"{counts.sum()} of {draws} draws are Dyck paths of size {n}")
     stat, p = chi_square_uniformity(counts)

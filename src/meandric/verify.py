@@ -61,7 +61,7 @@ __all__ = [
 # A strong shape of half-length 6 with nontrivial bounded faces, the weak
 # shape of half-length 5 whose copies can overlap at offset 7, and its mirror
 # image, the only other weak shape up to half-length 5 (pinned, since
-# enumerating half-length 5 at import would cost every process 0.09 s).
+# enumerating half-length 5 at import would cost every process 0.015 s).
 STRONG_L6 = "supp=1,4,7,12;up=1-4,7-12;lo=1-12,4-7"
 WEAK_L5 = "supp=1,2,5,6,9,10;up=1-6,2-5,9-10;lo=1-2,5-10,6-9"
 _WEAK_L5_MIRROR = "supp=1,2,5,6,9,10;up=1-2,5-10,6-9;lo=1-6,2-5,9-10"

@@ -955,6 +955,18 @@ def test_out_of_memory_is_refused():
     assert run.stderr.startswith("refused: ") and run.stderr.count("\n") == 1, run.stderr
 
 
+@pytest.mark.parametrize("ell", ["33", "40"])
+def test_impossible_half_length_is_refused(ell):
+    # Its Dyck paths are more rows than numpy can index.  The child's 2 GiB
+    # address space and the timeout bound an enumeration that starts anyway.
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    run = _cli_child(["shapes", "--half-length", ell, "--max-half-length", ell], 30, limit)
+    assert (run.returncode, run.stdout) == (EXIT_USAGE, "")
+    assert run.stderr.startswith("refused: ") and run.stderr.count("\n") == 1, run.stderr
+
+
 def test_formula_mismatch_is_an_invariant_violation(capsys, monkeypatch):
     formula = oracle.factorial_moment_strong
     monkeypatch.setattr(oracle, "factorial_moment_strong", lambda *args: formula(*args) + 1)

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from meandric.meanders import (
     parse_shape,
     simple_loop,
 )
+from meandric.meanders import _supports
 from meandric.oracle import enumerate_systems
 from meandric.sampling import sample_system
 from meandric.verify import STRONG_L6, WEAK_L5
@@ -226,6 +229,52 @@ def test_enumerate_shapes_counts():
     with pytest.raises(CapExceededError):
         enumerate_shapes(6)
     assert len(enumerate_shapes(1, max_half_length=6)) == 1
+
+
+# SHA-256 of the newline-joined ``format_shape`` list of each half-length,
+# taken from the enumeration that sorted candidate supports and filtered
+# every matching pair through ``Shape``.
+SHAPE_DIGESTS = {
+    4: (95, "fb4a8a366d21c3f1609228be419188b16a0ab2bff831c7f38e30c6279fe723fa"),
+    5: (697, "1d6bcfa0e6b406f1a8450ce0eaa573e298dd14d05777a5ba7da46906105f2994"),
+    6: (5673, "2629963c4e3138a4f74f432c47969b4d2d59b46946d6e42354d952327ffbde0f"),
+}
+
+
+@pytest.mark.parametrize("ell", sorted(SHAPE_DIGESTS))
+def test_enumerate_shapes_digests(ell):
+    shapes = enumerate_shapes(ell, max_half_length=ell)
+    digest = hashlib.sha256("\n".join(map(format_shape, shapes)).encode()).hexdigest()
+    assert (len(shapes), digest) == SHAPE_DIGESTS[ell]
+
+
+def _candidate_supports(ell):
+    """The supports by the candidate filter: both ends, k - 1 odd and k - 1
+    even points between them, kept when every gap is odd (unordered)."""
+    top = 2 * ell
+    for k in range(1, ell + 1):
+        for odd_pick in itertools.combinations(range(3, top, 2), k - 1):
+            for even_pick in itertools.combinations(range(2, top, 2), k - 1):
+                support = tuple(sorted((1,) + odd_pick + even_pick + (top,)))
+                if all((b - a) % 2 == 1 for a, b in zip(support, support[1:])):
+                    yield support
+
+
+@pytest.mark.parametrize("ell", range(1, 10))
+def test_supports_come_in_lexicographic_order(ell):
+    supports = list(_supports(ell))
+    assert all(a < b for a, b in zip(supports, supports[1:]))
+    assert supports == sorted(_candidate_supports(ell))
+
+
+@pytest.mark.parametrize("ell", [33, 40])
+def test_impossible_half_length_is_refused_at_once(ell):
+    # The first support, 1..2*ell, needs all catalan(ell) Dyck paths of size
+    # ell: more rows than numpy can index, refused before any support past it.
+    start = time.perf_counter()
+    with pytest.raises(MemoryError, match=f"Dyck paths of size {ell} are too many"):
+        enumerate_shapes(ell, max_half_length=ell)
+    assert time.perf_counter() - start < 1
 
 
 def test_enumerate_shapes_all_valid():

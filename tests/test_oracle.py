@@ -202,6 +202,22 @@ def test_equal_halves_share_one_array(loop1):
     assert oracle._superset_sums(6, first)[0] is oracle._superset_sums(6, second)[0]
 
 
+def test_distinct_halves_build_their_walks_once(monkeypatch):
+    builds = []
+
+    def counted(n):
+        builds.append(n)
+        return _dyck_walks(n)
+
+    monkeypatch.setattr(oracle, "_dyck_walks", counted)
+    oracle._half_sums.cache_clear()
+    shape = parse_shape("supp=1,2,3,4;up=1-4,2-3;lo=1-2,3-4")
+    exact_distribution(5, shape)
+    assert builds == [5]
+    exact_distribution(5, shape)  # both halves cached: no walks at all
+    assert builds == [5]
+
+
 # A weak shape of half-length 7 with 13 positions at n = 12.
 WEAK_L7 = "supp=1,2,7,8,13,14;up=1-8,2-7,13-14;lo=1-2,7-14,8-13"
 

@@ -23,6 +23,7 @@ import meandric
 from meandric import sampling
 from meandric.combinatorics import (
     NonCrossingMatching,
+    _dyck_walks,
     _matching_from_heights,
     _rotated_heights,
     catalan,
@@ -247,7 +248,7 @@ def test_uniformity_refuses_what_it_cannot_test(monkeypatch):
 
 
 def test_uniformity_refuses_non_dyck_codes(monkeypatch):
-    # Heights 0,-1,0,1,0 step down first: their code 0b0110 is no Dyck
+    # Heights 0,-1,0,1,0 step down first: their code 0b1001 is no Dyck
     # path of size 2, so it must not be counted as a neighbouring outcome.
     rows = np.array([[0, -1, 0, 1, 0], [0, 1, 0, 1, 0]])
     monkeypatch.setattr(sampling, "_height_rows", lambda n, seed, stream, lo, hi: rows[: hi - lo])
@@ -255,14 +256,24 @@ def test_uniformity_refuses_non_dyck_codes(monkeypatch):
         matching_uniformity(2, 2, seed=1)
 
 
-@pytest.mark.parametrize("bad", [[0, -1, -2, -3, -4], [0, 1, 0, -1, -2], [0, -1, -2, -1, -2], [0, 1, 2, 1, 2]])
+@pytest.mark.parametrize(
+    "bad",
+    [[0, -1, -2, -3, -4], [0, 1, 0, -1, -2], [0, -1, -2, -1, -2], [0, 1, 2, 1, 2], [0, 1, 0, 1, 2]],
+)
 def test_uniformity_refuses_codes_outside_the_outcomes(monkeypatch, bad):
-    # Codes 0, 1 and 4 fall below or between the size-2 outcomes 3 and 5,
-    # code 11 above them; none is counted as a neighbouring outcome.
+    # Code 2 falls below the size-2 outcomes 3 and 5, code 4 between them
+    # and codes 7, 13 and 15 above; none is counted as a neighbouring outcome.
     rows = np.array([bad, [0, 1, 2, 1, 0]])
     monkeypatch.setattr(sampling, "_height_rows", lambda n, seed, stream, lo, hi: rows[: hi - lo])
     with pytest.raises(MeandricError, match="1 of 2 draws are Dyck paths of size 2"):
         matching_uniformity(2, 2, seed=1)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_uniformity_codes_ascend_with_rank(n):
+    # The outcomes are read in the order of _dyck_walks, with no re-sort.
+    codes = sampling._dyck_codes(_dyck_walks(n))
+    assert codes.size == catalan(n) and (np.diff(codes) > 0).all()
 
 
 def test_uniformity_memory_grows_with_the_outcomes():
