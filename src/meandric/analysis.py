@@ -84,21 +84,6 @@ class FaceDecomposition:
         return tuple(c for _, c in self.upper) + tuple(c for _, c in self.lower)
 
 
-def _placed_arcs(placement: Placement) -> tuple[list[tuple[int, int]], list[tuple[int, int]], list[int]]:
-    """Absolute (upper arcs, lower arcs, support) of a list of placed copies."""
-    upper: list[tuple[int, int]] = []
-    lower: list[tuple[int, int]] = []
-    support: list[int] = []
-    for shape, offset in placement:
-        if offset < 1:
-            raise ValueError(f"offset {offset} must be >= 1")
-        shift = offset - 1
-        upper.extend((a + shift, b + shift) for a, b in shape.upper)
-        lower.extend((a + shift, b + shift) for a, b in shape.lower)
-        support.extend(v + shift for v in shape.support)
-    return upper, lower, support
-
-
 def _half_plane_faces(arcs: list[tuple[int, int]], base: range) -> tuple[tuple, int]:
     """Free-vertex counts of one half-plane's bounded faces and of its
     unbounded face, from one sweep of the base.  The arcs open at a vertex
@@ -131,12 +116,20 @@ def face_decomposition(loops: Union[Shape, Placement]) -> FaceDecomposition:
     and mutually non-crossing arcs within each half-plane.
     """
     placement: Placement = [(loops, 1)] if isinstance(loops, Shape) else list(loops)
-    upper_arcs, lower_arcs, support = _placed_arcs(placement)
+    for _, offset in placement:
+        if offset < 1:
+            raise ValueError(f"offset {offset} must be >= 1")
+    # Most overlap offsets fail here, so the arcs are shifted only after.
+    support = [v + offset - 1 for shape, offset in placement for v in shape.support]
     if len(set(support)) != len(support):
         raise InvalidShapeError("support: placed copies share a vertex")
     base = range(min(support), max(support) + 1)
-    upper, open_upper = _half_plane_faces(upper_arcs, base)
-    lower, open_lower = _half_plane_faces(lower_arcs, base)
+    upper, open_upper = _half_plane_faces(
+        [(a + offset - 1, b + offset - 1) for shape, offset in placement for a, b in shape.upper], base
+    )
+    lower, open_lower = _half_plane_faces(
+        [(a + offset - 1, b + offset - 1) for shape, offset in placement for a, b in shape.lower], base
+    )
     return FaceDecomposition(upper=upper, lower=lower, open_upper=open_upper, open_lower=open_lower)
 
 

@@ -108,21 +108,18 @@ class Shape:
         for a, b in zip(supp, supp[1:]):
             if (b - a) % 2 == 0:
                 raise InvalidShapeError(f"odd-gap: gap {a}..{b} has even difference")
-        members = set(supp)
         for name, arcs in (("upper", self.upper), ("lower", self.lower)):
-            if tuple(sorted(arcs)) != arcs:
-                raise InvalidShapeError(f"matching: {name} arcs must be sorted ascending")
-            seen: set[int] = set()
-            for a, b in arcs:
-                if a >= b:
-                    raise InvalidShapeError(f"matching: {name} arc ({a},{b}) not ascending")
-                if a not in members or b not in members:
-                    raise InvalidShapeError(f"matching: {name} arc ({a},{b}) leaves the support")
-                if a in seen or b in seen:
-                    raise InvalidShapeError(f"matching: {name} arcs reuse a vertex")
-                seen.update((a, b))
-            if seen != members:
-                raise InvalidShapeError(f"matching: {name} arcs do not cover the support")
+            # The support is strictly increasing, so endpoints that sort to it
+            # use every support point exactly once: a perfect matching.
+            if (
+                tuple(sorted(arcs)) != arcs
+                or any(a >= b for a, b in arcs)
+                or sorted(v for arc in arcs for v in arc) != list(supp)
+            ):
+                raise InvalidShapeError(
+                    f"matching: {name} arcs must be sorted ascending pairs whose "
+                    "endpoints are the support, each once"
+                )
             if not arcs_noncrossing(arcs):
                 raise InvalidShapeError(f"crossing: {name} arcs cross")
         # Connectivity: the loop through the leftmost point must be the

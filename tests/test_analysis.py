@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -129,6 +131,13 @@ def test_face_decomposition_rejects_crossing(loop1, weak_l5):
         face_decomposition([(weak_l5, 1), (weak_l5, 3)])  # arcs cross
     with pytest.raises(InvalidShapeError):
         face_decomposition([(loop1, 1), (loop1, 2)])  # shared vertex
+
+
+def test_offset_below_1_is_refused_before_the_vertex_check(loop1):
+    # The copies at 1 and 0 also share vertex 1; the offset is reported.
+    with pytest.raises(ValueError, match="^offset 0 must be >= 1$") as err:
+        face_decomposition([(loop1, 1), (loop1, 0)])
+    assert not isinstance(err.value, InvalidShapeError)
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +445,18 @@ def test_tightness_weak_example_small_ratio(weak_l5):
     profile = tightness_profile(10**4, 10, weak_l5)
     assert profile.min_ratio is not None
     assert profile.min_ratio < Fraction(1, 100)
+
+
+def test_constants_report_digest():
+    # Pins every constant (K, c+, c-, overlaps, mu, sigma2) of the 811
+    # shapes with half-length <= 5, in enumeration order.
+    reports = [constants_report(shape) for shape in all_shapes(5)]
+    assert len(reports) == 811
+    text = json.dumps(reports, sort_keys=True, separators=(",", ":"))
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "b6526fc10708a2a1cad535fb62dafb46301c18b369fc2e12dd83979d112f8e8d"
+    )
 
 
 def test_constants_report_schema(weak_l5):

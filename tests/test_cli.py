@@ -430,8 +430,14 @@ def test_moments_out_of_range_is_usage_error(capsys, mode, n, r, message):
         ),
         (
             ["moments", "--n", "13", "--r", "2", "--shape", LOOP, "--size-cap", "13"],
-            "size 13 needs 2**25 position sets for a half-length-1 shape; "
-            "the oracle stops at 2**23",
+            "size 13 needs 25 copy positions for a half-length-1 shape; "
+            "the oracle stops at 23",
+        ),
+        (
+            ["moments", "--mode", "exact", "--n", "20", "--r", "1", "--shape",
+             "supp=1,18;up=1-18;lo=1-18", "--size-cap", "20"],
+            "size 20 has catalan(20) >= 2**31 matchings per half, too many systems "
+            "to count in int64; the oracle stops at size 19",
         ),
         (
             ["shapes", "--half-length", "6"],
@@ -448,8 +454,8 @@ def test_moments_out_of_range_is_usage_error(capsys, mode, n, r, message):
             "size 4000 above cap 8; pass --size-cap to override",
         ),
     ],
-    ids=["size-cap", "size-cap-csv-only", "mask-width", "max-half-length", "size-cap-n1000",
-         "size-cap-n4000"],
+    ids=["size-cap", "size-cap-csv-only", "mask-width", "int64-count", "max-half-length",
+         "size-cap-n1000", "size-cap-n4000"],
 )
 def test_cap_exceeded_is_refused(capsys, tmp_path, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)

@@ -311,6 +311,26 @@ def test_shape_grammar_diagnostics(text, invariant):
     assert str(err.value).startswith(invariant)
 
 
+@pytest.mark.parametrize("half", ["upper", "lower"])
+@pytest.mark.parametrize(
+    "arcs",
+    [
+        ((1, 4), (2, 5)),  # an arc end outside the support
+        ((1, 2), (2, 4)),  # a reused vertex
+        ((1, 4),),  # uncovered support points
+        ((2, 1), (3, 4)),  # a >= b
+        ((2, 3), (1, 4)),  # unsorted arcs
+    ],
+    ids=["outside", "reused", "uncovered", "descending", "unsorted"],
+)
+def test_each_half_must_match_the_support(half, arcs):
+    # Either half of this loop on 1..4 is valid; only ``half`` is broken.
+    halves = {"upper": ((1, 4), (2, 3)), "lower": ((1, 2), (3, 4))}
+    Shape((1, 2, 3, 4), **halves)
+    with pytest.raises(InvalidShapeError, match=f"^matching: {half} "):
+        Shape((1, 2, 3, 4), **(halves | {half: arcs}))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(2, 9))
 def test_count_matches_indicator_sum_on_random_systems(position, n):

@@ -103,12 +103,30 @@ def test_mask_width_cap(loop1):
     # n=12 is the largest simple-loop size within the width limit; n=13
     # is refused before any matching is enumerated.
     assert 2 * 12 - 1 == MAX_MASK_WIDTH
-    with pytest.raises(CapExceededError, match="2\\*\\*25 position sets"):
+    with pytest.raises(
+        CapExceededError,
+        match="^size 13 needs 25 copy positions for a half-length-1 shape; the oracle stops at 23$",
+    ):
         exact_distribution(13, loop1, size_cap=13)
     with pytest.raises(CapExceededError):
         block_spectrum(13, 2, loop1, size_cap=13)
     with pytest.raises(CapExceededError):
         exact_pair_probability(13, 3, loop1, size_cap=13)
+
+
+def test_int64_count_limit_is_refused_before_any_walk(monkeypatch):
+    # At n = 20 the half-length-9 shape has 23 copy positions, within the
+    # width limit, but catalan(20) >= 2**31, so U[S] * L[S] could leave
+    # int64; the refusal names that limit and builds no walks.
+    monkeypatch.setattr(oracle, "_dyck_walks", lambda n: pytest.fail("walks built"))
+    shape = parse_shape("supp=1,18;up=1-18;lo=1-18")
+    assert oracle._width(20, shape) == MAX_MASK_WIDTH
+    with pytest.raises(
+        CapExceededError,
+        match=r"^size 20 has catalan\(20\) >= 2\*\*31 matchings per half, too many "
+        "systems to count in int64; the oracle stops at size 19$",
+    ):
+        exact_distribution(20, shape, size_cap=20)
 
 
 def test_distribution_memory(loop1):
